@@ -57,6 +57,7 @@ Measured measure_program(const machine::MachineParams& params,
   out.wall_ms = wall_now_ms() - t0;
   out.makespan = result.makespan;
   out.rate_solves = result.network.rate_solves;
+  out.flows_refrozen = result.network.flows_refrozen;
   out.heap_pops = result.network.heap_pops;
   out.context_switches = result.context_switches;
   out.lanes = result.lanes;
@@ -103,6 +104,7 @@ Measured measure_scheduled_pattern(const sched::CommPattern& pattern,
   out.wall_ms = wall_now_ms() - t0;
   out.makespan = run.result.makespan;
   out.rate_solves = run.result.network.rate_solves;
+  out.flows_refrozen = run.result.network.flows_refrozen;
   out.heap_pops = run.result.network.heap_pops;
   out.context_switches = run.result.context_switches;
   out.lanes = run.result.lanes;
@@ -231,6 +233,7 @@ void MetricsEmitter::record(const std::string& id, const Measured& run,
   Value perf = Value::object();
   perf["wall_ms"] = deterministic_mode() ? 0.0 : run.wall_ms;
   perf["rate_solves"] = run.rate_solves;
+  perf["flows_refrozen"] = run.flows_refrozen;
   perf["heap_pops"] = run.heap_pops;
   perf["context_switches"] = run.context_switches;
   perf["lanes"] = static_cast<std::int64_t>(run.lanes);

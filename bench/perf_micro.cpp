@@ -6,6 +6,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
+
 #include "cm5/net/fluid_network.hpp"
 #include "cm5/net/topology.hpp"
 #include "cm5/util/rng.hpp"
@@ -34,26 +36,45 @@ void BM_RouteLookup(benchmark::State& state) {
 BENCHMARK(BM_RouteLookup)->Arg(32)->Arg(256);
 
 /// One small flow starting and completing against a standing population
-/// of long-lived flows. The incremental solver touches only the changed
-/// flow's sharing component; the oracle re-solves the whole network.
-void churn(benchmark::State& state, net::FluidNetwork::SolverMode mode) {
+/// of long-lived flows. The oracle re-solves the whole network on every
+/// change. From 512 active flows the incremental solver re-solves only the
+/// sharing component the change touches, as long as no near-tie couples
+/// components (docs/PERF.md §2). Random flows on 256 nodes share links
+/// densely and form one giant component, so that case measures the
+/// whole-network path. With `rex_partners`, every flow runs between
+/// recursive-exchange partners at a low stage (src ^ 2^k, k < 6) of a
+/// 4096-node machine: background flow f leaves node 4f at stage f mod 6,
+/// the churning flow a random node at a random stage, so components stay
+/// inside 64-node subtrees.
+void churn(benchmark::State& state, net::FluidNetwork::SolverMode mode,
+           std::int32_t nprocs, bool rex_partners) {
   const auto background = static_cast<std::int32_t>(state.range(0));
-  const std::int32_t nprocs = 256;
   const net::FatTreeTopology topo(net::FatTreeConfig::cm5(nprocs));
   net::FluidNetwork nw(topo);
   nw.set_solver_mode(mode);
   util::Rng rng(23);
+  const auto random_node = [&] {
+    return static_cast<net::NodeId>(
+        rng.next_below(static_cast<std::uint64_t>(nprocs)));
+  };
+  const auto random_pair = [&] {
+    const net::NodeId s = random_node();
+    if (rex_partners) {
+      return std::pair{s, s ^ (1 << static_cast<int>(rng.next_below(6)))};
+    }
+    net::NodeId d = random_node();
+    if (d == s) d = (d + 1) % nprocs;
+    return std::pair{s, d};
+  };
   util::SimTime t = 0;
   for (std::int32_t f = 0; f < background; ++f) {
-    const auto s = static_cast<net::NodeId>(rng.next_below(static_cast<std::uint64_t>(nprocs)));
-    auto d = static_cast<net::NodeId>(rng.next_below(static_cast<std::uint64_t>(nprocs)));
-    if (d == s) d = (d + 1) % nprocs;
+    const auto [s, d] =
+        rex_partners ? std::pair{4 * f, (4 * f) ^ (1 << (f % 6))}
+                     : random_pair();
     nw.start_flow(t, s, d, 1e15);  // effectively never completes
   }
   for (auto _ : state) {
-    const auto s = static_cast<net::NodeId>(rng.next_below(static_cast<std::uint64_t>(nprocs)));
-    auto d = static_cast<net::NodeId>(rng.next_below(static_cast<std::uint64_t>(nprocs)));
-    if (d == s) d = (d + 1) % nprocs;
+    const auto [s, d] = random_pair();
     nw.start_flow(t, s, d, 64.0);
     while (nw.active_flows() > static_cast<std::size_t>(background)) {
       const auto ev = nw.next_event();
@@ -62,17 +83,33 @@ void churn(benchmark::State& state, net::FluidNetwork::SolverMode mode) {
     }
   }
   state.SetItemsProcessed(state.iterations());
+  state.counters["refrozen_per_solve"] =
+      static_cast<double>(nw.stats().flows_refrozen) /
+      static_cast<double>(nw.stats().rate_solves);
 }
 
 void BM_SolverChurnIncremental(benchmark::State& state) {
-  churn(state, net::FluidNetwork::SolverMode::kIncremental);
+  churn(state, net::FluidNetwork::SolverMode::kIncremental, 256, false);
 }
 BENCHMARK(BM_SolverChurnIncremental)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_SolverChurnOracle(benchmark::State& state) {
-  churn(state, net::FluidNetwork::SolverMode::kOracle);
+  churn(state, net::FluidNetwork::SolverMode::kOracle, 256, false);
 }
 BENCHMARK(BM_SolverChurnOracle)->Arg(64)->Arg(256)->Arg(1024);
+
+/// The same churn with local components; CI gates on the incremental /
+/// oracle time ratio of the two solvers here.
+void BM_SolverChurnStructured(benchmark::State& state) {
+  churn(state,
+        state.range(1) == 0 ? net::FluidNetwork::SolverMode::kIncremental
+                            : net::FluidNetwork::SolverMode::kOracle,
+        4096, true);
+}
+BENCHMARK(BM_SolverChurnStructured)
+    ->ArgNames({"background", "oracle"})
+    ->Args({1024, 0})
+    ->Args({1024, 1});
 
 void BM_NextEventPeek(benchmark::State& state) {
   // Steady-state next_event() with many active flows: after the first

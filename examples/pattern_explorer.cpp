@@ -14,6 +14,8 @@
 ///   $ ./pattern_explorer --metrics m.json       # full RunMetrics dump
 
 #include <cstdio>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "cm5/net/topology.hpp"
@@ -55,35 +57,44 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const auto nprocs = static_cast<std::int32_t>(args.get_int("procs"));
-  const std::int64_t bytes = args.get_int("bytes");
+  // Bad option values, an unknown pattern kind and unreadable or
+  // malformed pattern files are usage errors: one-line diagnosis, exit 2.
   const std::string kind = args.get_string("pattern");
-
-  CommPattern pattern = [&]() -> CommPattern {
-    if (!args.get_string("load").empty()) {
-      return sched::load_pattern(args.get_string("load"));
+  std::optional<CommPattern> built;
+  try {
+    const auto nprocs = static_cast<std::int32_t>(args.get_int("procs"));
+    const std::int64_t bytes = args.get_int("bytes");
+    built.emplace([&]() -> CommPattern {
+      if (!args.get_string("load").empty()) {
+        return sched::load_pattern(args.get_string("load"));
+      }
+      if (kind == "paper-p") return CommPattern::paper_pattern_p(bytes);
+      if (kind == "density") {
+        return patterns::exact_density(
+            nprocs, args.get_double("density"), bytes,
+            static_cast<std::uint64_t>(args.get_int("seed")));
+      }
+      if (kind == "ring") {
+        return patterns::ring(nprocs,
+                              static_cast<std::int32_t>(args.get_int("halo")),
+                              bytes);
+      }
+      if (kind == "shift") return patterns::shift(nprocs, 1, bytes);
+      if (kind == "complete") {
+        return CommPattern::complete_exchange(nprocs, bytes);
+      }
+      throw std::runtime_error("unknown pattern kind: " + kind);
+    }());
+    if (!args.get_string("save").empty()) {
+      sched::save_pattern(*built, args.get_string("save"));
+      std::printf("pattern written to %s\n", args.get_string("save").c_str());
+      return 0;
     }
-    if (kind == "paper-p") return CommPattern::paper_pattern_p(bytes);
-    if (kind == "density") {
-      return patterns::exact_density(
-          nprocs, args.get_double("density"), bytes,
-          static_cast<std::uint64_t>(args.get_int("seed")));
-    }
-    if (kind == "ring") {
-      return patterns::ring(nprocs,
-                            static_cast<std::int32_t>(args.get_int("halo")),
-                            bytes);
-    }
-    if (kind == "shift") return patterns::shift(nprocs, 1, bytes);
-    if (kind == "complete") return CommPattern::complete_exchange(nprocs, bytes);
-    throw std::runtime_error("unknown pattern kind: " + kind);
-  }();
-
-  if (!args.get_string("save").empty()) {
-    sched::save_pattern(pattern, args.get_string("save"));
-    std::printf("pattern written to %s\n", args.get_string("save").c_str());
-    return 0;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "pattern_explorer: %s\n", e.what());
+    return 2;
   }
+  const CommPattern& pattern = *built;
 
   std::printf("pattern: %s — %d procs, %lld messages, density %.0f%%, avg"
               " %.0f B\n\n",

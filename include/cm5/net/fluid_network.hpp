@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "cm5/net/maxmin.hpp"
@@ -31,17 +32,17 @@
 ///
 /// * An *incremental* max-min solver. Re-solves only happen when a flow
 ///   start/finish or a link-fault capacity change dirties a link, and the
-///   solve itself reuses state built once per flow: the flow→link
-///   adjacency, a FlowId-ordered active list maintained across solves,
-///   and stamp-based link sets, so a solve touches only the links that
-///   actually carry traffic and allocates nothing once warm. Every
-///   active flow is re-frozen each solve — the reference algorithm's
-///   freeze tolerance couples even link-disjoint flows in the last ulp,
-///   so a solve restricted to the flows reachable from the dirtied links
-///   cannot stay bit-identical to it (see resolve_incremental). Flows
-///   are processed in FlowId order so the arithmetic matches the seed
-///   whole-network solve exactly; that solve is retained behind
-///   SolverMode::kOracle as a differential-testing reference.
+///   solve reuses state built once per flow: the flow→link adjacency, a
+///   FlowId-ordered active list maintained across solves, and stamp-based
+///   link sets, so it touches only links that carry traffic and allocates
+///   nothing once warm. Flows are processed in FlowId order so the
+///   arithmetic matches the seed whole-network solve exactly; that solve
+///   is retained behind SolverMode::kOracle as a differential-testing
+///   reference. While many flows are active the solve is further
+///   restricted to the connected component of the flow/link sharing graph
+///   that the dirtied links reach, under a guard that keeps it
+///   bit-identical to the whole-network solve and falls back to it when a
+///   near-tie could couple components (see resolve_incremental).
 ///
 /// * A lazy min-heap of projected completion times, so next_event() is a
 ///   heap peek instead of a scan over every active flow. Entries are
@@ -73,6 +74,10 @@ struct NetworkStats {
   std::int64_t flows_completed = 0;
   /// Number of max-min re-solves performed (a cost/behaviour metric).
   std::int64_t rate_solves = 0;
+  /// Flows re-frozen by progressive filling, summed over all solves: the
+  /// active count for a whole-network solve, the component size for a
+  /// restricted one (plus the active count when its guard falls back).
+  std::int64_t flows_refrozen = 0;
   /// Number of completion-heap pops (stale-entry discards included) — a
   /// cost metric for the event-lookup path, reported in bench perf JSON.
   std::int64_t heap_pops = 0;
@@ -168,6 +173,25 @@ class FluidNetwork {
   void resolve_rates();
   void resolve_incremental();
   void resolve_oracle();
+  /// Progressive filling of the flows queued in fill_flows_ (slots, in
+  /// FlowId order) over the live links they use. When `guarded`, returns
+  /// false if a round saw a link share strictly inside (share, share *
+  /// kFreezeTolerance], and until then records round shares in
+  /// fill_levels_.
+  bool fill(std::span<const LinkId> links, bool guarded);
+  void solve_all(bool guarded);
+  /// Re-solves the dirtied links' sharing component alone; commits and
+  /// returns true only if the guard proves solve_all would agree.
+  bool solve_component();
+  /// Builds (or drops) the guard state: link→flow lists, level table.
+  void set_guarded(bool on);
+  /// Drops links whose flows all retired from live_links_.
+  void sweep_live_links();
+  void level_add(double rate);
+  void level_remove(double rate);
+  /// True if a held rate r != m satisfies r < m <= r * kFreezeTolerance
+  /// or m < r <= m * kFreezeTolerance.
+  bool level_near(double m) const;
   /// Recomputes a slot's projected completion and (if it changed) pushes
   /// a fresh heap entry, invalidating the old one via the epoch.
   void refresh_heap_entry(std::uint32_t si);
@@ -189,11 +213,11 @@ class FluidNetwork {
   /// Live-flow count per link, maintained on flow start/retire so a
   /// solve never recounts routes.
   std::vector<std::int32_t> flows_on_link_;
-  /// Links with at least one live flow. Appended on a 0→1 count
-  /// transition; entries whose count dropped back to 0 (and duplicates
-  /// from later 0→1 transitions) are swept out at the next solve, so the
-  /// list is exact whenever rates are clean.
+  /// Links with at least one live flow, each listed once (link_listed_).
+  /// Appended on a 0→1 count transition; entries whose count dropped back
+  /// to 0 stay (with zero load) until a whole-network solve sweeps them.
   std::vector<LinkId> live_links_;
+  std::vector<std::uint8_t> link_listed_;
   std::vector<double> link_load_;  // bytes/s per link at current rates
   std::vector<double> capacity_scale_;  // degradation multipliers (1 = healthy)
 
@@ -219,9 +243,25 @@ class FluidNetwork {
   std::vector<double> fill_shares_;
   std::vector<std::uint32_t> link_pos_;
   std::vector<std::uint32_t> fill_flows_;  // per-round unfrozen worklist
+  std::vector<double> fill_levels_;  // round shares of a guarded fill
   /// Flows whose rate changed bits in the current solve — the only ones
   /// whose heap projections need refreshing afterwards.
   std::vector<std::uint32_t> changed_slots_;
+
+  /// Guard state, kept only while the active set is large (empty
+  /// link_flows_ means unguarded): the flows on each link, the active
+  /// flows' distinct rates with multiplicities in ascending order (empty
+  /// until a restricted solve needs it), and whether the last
+  /// whole-network solve was free of band events.
+  std::vector<std::vector<std::uint32_t>> link_flows_;
+  std::vector<std::pair<double, std::int32_t>> levels_;
+  bool decoupled_ = false;
+  /// solve_component scratch: the component's flows (FlowId order), their
+  /// pre-solve rates, its links, and per-slot visit stamps.
+  std::vector<std::uint32_t> comp_flows_;
+  std::vector<double> comp_rates_;
+  std::vector<LinkId> comp_links_;
+  std::vector<std::uint64_t> slot_stamp_;
 
   /// Scratch for next_event's reprojection window: slots popped near the
   /// heap top whose times are recomputed fresh before being re-pushed.

@@ -31,7 +31,8 @@ CommPattern pattern_from_text(const std::string& text);
 /// failure.
 void save_pattern(const CommPattern& pattern, const std::string& path);
 
-/// Reads a pattern file.
+/// Reads a pattern file. Throws std::runtime_error naming the file if it
+/// cannot be opened or does not parse.
 CommPattern load_pattern(const std::string& path);
 
 }  // namespace cm5::sched

@@ -25,6 +25,14 @@ constexpr util::SimTime kNoHeapEntry = -1;
 /// full O(F) rescan.
 constexpr util::SimTime kProjectionSlackNs = 2;
 
+/// solve_max_min's freeze tolerance: a flow freezes at the round share
+/// `s` if one of its links has a fair share <= s * kFreezeTolerance.
+constexpr double kFreezeTolerance = 1.0 + 1e-12;
+
+/// Active flows from which solves are restricted under the guard; below
+/// it the guard's bookkeeping costs more than it saves.
+constexpr std::size_t kGuardMinFlows = 512;
+
 }  // namespace
 
 FluidNetwork::FluidNetwork(const FatTreeTopology& topo) : topo_(topo) {
@@ -41,6 +49,7 @@ FluidNetwork::FluidNetwork(const FatTreeTopology& topo) : topo_(topo) {
   active_on_link_.assign(num_links, 0);
   link_share_.assign(num_links, 0.0);
   link_pos_.assign(num_links, 0);
+  link_listed_.assign(num_links, 0);
 }
 
 void FluidNetwork::set_solver_mode(SolverMode mode) {
@@ -85,8 +94,9 @@ void FluidNetwork::progress_to(util::SimTime t) {
       f.bytes_remaining = std::max(0.0, f.bytes_remaining - f.rate * dt);
     }
     // Only links on a live flow's route can carry load: rates were just
-    // resolved above if anything was dirty, and a resolve both compacts
-    // live_links_ and zeroes the load of every link that lost its flows.
+    // resolved above if anything was dirty, live_links_ lists every such
+    // link once, and a resolve zeroes the load of every link that lost
+    // its flows.
     for (const LinkId link : live_links_) {
       const auto l = static_cast<std::size_t>(link);
       if (link_load_[l] <= 0.0) continue;
@@ -136,14 +146,20 @@ FlowId FluidNetwork::start_flow(util::SimTime now, NodeId src, NodeId dst,
   rates_dirty_ = true;
   ++stats_.flows_started;
   for (LinkId l : f.route()) {
-    if (flows_on_link_[static_cast<std::size_t>(l)]++ == 0) {
+    const auto li = static_cast<std::size_t>(l);
+    if (flows_on_link_[li]++ == 0 && !link_listed_[li]) {
+      link_listed_[li] = 1;
       live_links_.push_back(l);
     }
     mark_dirty(l);
     stats_.bytes_by_link[static_cast<std::size_t>(l)] += wire_bytes;
     stats_.bytes_by_level[static_cast<std::size_t>(topo_.link_level(l))] +=
         wire_bytes;
+    if (!link_flows_.empty()) {
+      link_flows_[static_cast<std::size_t>(l)].push_back(si);
+    }
   }
+  if (!levels_.empty()) level_add(f.rate);
   return id;
 }
 
@@ -198,69 +214,200 @@ void FluidNetwork::resolve_rates() {
 }
 
 void FluidNetwork::resolve_incremental() {
-  // Re-freeze every active flow, incrementally. One could hope to
-  // restrict the solve to the connected component of the flow/link
-  // sharing graph reachable from the dirtied links — the *exact* rates
-  // of flows outside it cannot change — but the reference algorithm's
-  // freeze tolerance couples even link-disjoint flows: a flow freezes
-  // when one of its links' fair share is within 1e-12 of the round
-  // share, and the round share is a *global* minimum that may come from
-  // an unrelated link. A restricted solve therefore drifts from the
-  // whole-network solve in the last ulp, which is enough to move a
-  // ceil'd completion time by 1 ns and desynchronise an exchange. So
-  // the fast path keeps the global round structure and wins instead on
-  // bookkeeping: the FlowId-ordered active list and flow→link adjacency
-  // persist across solves, only links actually carrying traffic are
-  // scanned, and nothing allocates once warm.
+  // Progressive filling runs in rounds, each freezing the flows with a
+  // link within kFreezeTolerance of the global minimum share. Components
+  // of the flow/link sharing graph interact only through that tolerance:
+  // a flow of one component freezes in another's round only if one of its
+  // links lies strictly inside the band (share, tol]. Without such a band
+  // event the global rounds are the merge of each component's own rounds
+  // (exact ties freeze the same flows either way), so the components the
+  // dirtied links reach can be re-solved alone. A component's pending
+  // round shares are rates its flows end up holding, so a band event
+  // across the boundary shows up as a new round share near a rate held
+  // by an untouched flow. The restricted result is kept only if its rounds
+  // saw no band event, no new round share is near an untouched rate, and
+  // the last whole-network solve was band-free (so untouched rates are
+  // their components' own solutions); otherwise the same fill re-solves
+  // the whole network. docs/PERF.md §2 has the full argument.
+  changed_slots_.clear();
+  const bool guarded = active_count_ >= kGuardMinFlows;
+  if (guarded == link_flows_.empty()) set_guarded(guarded);
+  if (!guarded || !decoupled_ || !solve_component()) solve_all(guarded);
+  // Refresh projections only for flows whose rate actually changed bits.
+  // A flow whose rate is bit-unchanged progressed linearly at that rate
+  // since its entry was pushed, so the cached projection still describes
+  // the same real-valued completion instant and stays within
+  // kProjectionSlackNs of a fresh one — exactly the invariant
+  // next_event()'s reprojection window is built on.
+  for (const std::uint32_t si : changed_slots_) refresh_heap_entry(si);
+}
+
+void FluidNetwork::set_guarded(bool on) {
+  link_flows_.assign(on ? static_cast<std::size_t>(topo_.num_links()) : 0, {});
+  levels_.clear();
+  decoupled_ = false;  // the current rates were not solved under the guard
+  for (std::uint32_t si = 0; on && si < slots_.size(); ++si) {
+    if (!slots_[si].live) continue;
+    for (LinkId l : slots_[si].route()) {
+      link_flows_[static_cast<std::size_t>(l)].push_back(si);
+    }
+  }
+}
+
+void FluidNetwork::sweep_live_links() {
+  // Drop links whose flows have all retired: a whole-network fill needs
+  // exactly the links that carry traffic.
+  std::erase_if(live_links_, [this](LinkId l) {
+    const auto li = static_cast<std::size_t>(l);
+    if (flows_on_link_[li] != 0) return false;
+    link_listed_[li] = 0;
+    return true;
+  });
+}
+
+void FluidNetwork::solve_all(bool guarded) {
   // Sweep the active list: drop retired entries (freed or reused slots)
   // in place. FlowIds are monotonic and the sweep is stable, so the list
   // stays in FlowId order — the order the reference solve processes
   // flows in.
-  changed_slots_.clear();
   std::size_t live_count = 0;
+  fill_flows_.clear();
   for (const ActiveRef ref : active_order_) {
     const Slot& f = slots_[ref.slot];
     if (!f.live || f.id != ref.id) continue;
     active_order_[live_count++] = ref;
+    fill_flows_.push_back(ref.slot);
   }
   active_order_.resize(live_count);
+  sweep_live_links();
+  const bool band_free = fill(live_links_, guarded);
 
-  // Sweep the live-link list likewise: drop links whose flows have all
-  // retired, and duplicates left by repeated 0→1 count transitions (the
-  // stamp marks first occurrences within this solve).
+  // Rebuild link loads, in FlowId order so the partial sums match a
+  // whole-network rebuild. Dirtied links not on any active route (for
+  // example a link whose last flow just retired) must drop to zero.
+  for (LinkId l : dirty_links_) {
+    link_load_[static_cast<std::size_t>(l)] = 0.0;
+  }
+  for (LinkId l : live_links_) {
+    link_load_[static_cast<std::size_t>(l)] = 0.0;
+  }
+  for (const ActiveRef ref : active_order_) {
+    const Slot& f = slots_[ref.slot];
+    for (LinkId l : f.route()) {
+      link_load_[static_cast<std::size_t>(l)] += f.rate;
+    }
+  }
+  decoupled_ = guarded && band_free;
+  levels_.clear();  // rebuilt when a restricted solve next needs it
+}
+
+bool FluidNetwork::solve_component() {
+  // Collect the component breadth-first from the dirtied links: every
+  // flow on a reached link joins, and so does every link on its route.
   const std::uint64_t gen = ++stamp_gen_;
-  std::size_t live_link_count = 0;
-  for (const LinkId l : live_links_) {
+  slot_stamp_.resize(slots_.size(), 0);
+  comp_links_.clear();
+  comp_flows_.clear();
+  for (const LinkId l : dirty_links_) {
     const auto li = static_cast<std::size_t>(l);
     if (flows_on_link_[li] == 0 || link_stamp_[li] == gen) continue;
     link_stamp_[li] = gen;
-    live_links_[live_link_count++] = l;
+    comp_links_.push_back(l);
   }
-  live_links_.resize(live_link_count);
+  for (std::size_t i = 0; i < comp_links_.size(); ++i) {
+    for (const std::uint32_t si :
+         link_flows_[static_cast<std::size_t>(comp_links_[i])]) {
+      if (slot_stamp_[si] == gen) continue;
+      slot_stamp_[si] = gen;
+      comp_flows_.push_back(si);
+      // A component this large is cheaper to solve with everything else.
+      if (2 * comp_flows_.size() > active_count_) return false;
+      for (const LinkId l : slots_[si].route()) {
+        const auto li = static_cast<std::size_t>(l);
+        if (link_stamp_[li] == gen) continue;
+        link_stamp_[li] = gen;
+        comp_links_.push_back(l);
+      }
+    }
+  }
+  std::sort(comp_flows_.begin(), comp_flows_.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              return slots_[a].id < slots_[b].id;
+            });
 
+  // Leave only untouched flows' rates in the level table, and keep the
+  // component's rates to undo a rejected attempt.
+  if (levels_.empty()) {
+    for (const Slot& f : slots_) {
+      if (f.live) level_add(f.rate);
+    }
+  }
+  comp_rates_.clear();
+  for (const std::uint32_t si : comp_flows_) {
+    comp_rates_.push_back(slots_[si].rate);
+    level_remove(slots_[si].rate);
+  }
+  fill_flows_.assign(comp_flows_.begin(), comp_flows_.end());
+  bool exact = fill(comp_links_, /*guarded=*/true);
+  for (const double m : fill_levels_) exact = exact && !level_near(m);
+  if (!exact) {
+    for (std::size_t i = 0; i < comp_flows_.size(); ++i) {
+      slots_[comp_flows_[i]].rate = comp_rates_[i];
+    }
+    changed_slots_.clear();
+    return false;
+  }
+
+  // The component's links carry only its flows: rebuild their loads in
+  // FlowId order, as solve_all does; all other loads are unchanged.
+  for (LinkId l : dirty_links_) {
+    link_load_[static_cast<std::size_t>(l)] = 0.0;
+  }
+  for (LinkId l : comp_links_) {
+    link_load_[static_cast<std::size_t>(l)] = 0.0;
+  }
+  for (const std::uint32_t si : comp_flows_) {
+    const Slot& f = slots_[si];
+    for (LinkId l : f.route()) {
+      link_load_[static_cast<std::size_t>(l)] += f.rate;
+    }
+    level_add(f.rate);
+  }
+  // Only solve_all reads the active list; keep it proportional to the
+  // active set.
+  if (active_order_.size() > 2 * active_count_) {
+    std::erase_if(active_order_, [this](const ActiveRef ref) {
+      return !slots_[ref.slot].live || slots_[ref.slot].id != ref.id;
+    });
+  }
+  return true;
+}
+
+bool FluidNetwork::fill(std::span<const LinkId> links, bool guarded) {
+  stats_.flows_refrozen += static_cast<std::int64_t>(fill_flows_.size());
+  fill_levels_.clear();
   // link_share_ caches residual/active for every link that still has
   // unfrozen flows, updated with the reference algorithm's exact
   // expression on every mutation, so both the min-scan and the per-flow
   // bottleneck checks below read a double that is bit-identical to
   // recomputing the division in place (links without unfrozen flows hold
   // +inf, which neither wins a min nor passes a <= tolerance check).
-  // fill_shares_ mirrors the same values densely — one entry per live
-  // link, kept in sync through link_pos_ — so the per-round min-scan is
-  // a straight (vectorizable) sweep over a contiguous double array
-  // instead of a gather through the link-indexed tables.
-  fill_shares_.resize(live_links_.size());
-  for (std::size_t i = 0; i < live_links_.size(); ++i) {
-    const auto li = static_cast<std::size_t>(live_links_[i]);
-    residual_[li] = topo_.link(live_links_[i]).capacity * capacity_scale_[li];
+  // fill_shares_ mirrors the same values densely — one entry per link,
+  // kept in sync through link_pos_ — so the per-round min-scan is a
+  // straight (vectorizable) sweep over a contiguous double array instead
+  // of a gather through the link-indexed tables.
+  const std::size_t num_links = links.size();
+  fill_shares_.resize(num_links);
+  for (std::size_t i = 0; i < num_links; ++i) {
+    const auto li = static_cast<std::size_t>(links[i]);
+    residual_[li] = topo_.link(links[i]).capacity * capacity_scale_[li];
     active_on_link_[li] = flows_on_link_[li];
     link_share_[li] = residual_[li] / active_on_link_[li];
     fill_shares_[i] = link_share_[li];
     link_pos_[li] = static_cast<std::uint32_t>(i);
   }
-  fill_flows_.resize(active_order_.size());
-  for (std::uint32_t k = 0; k < active_order_.size(); ++k) fill_flows_[k] = k;
-  const std::size_t num_links = fill_shares_.size();
-  std::size_t unfrozen = active_order_.size();
+  bool band_free = true;
+  std::size_t unfrozen = fill_flows_.size();
   while (unfrozen > 0) {
     // Most constrained link: minimum fair share among links with traffic.
     // Links whose flows all froze hold +inf and never win. The shares
@@ -281,7 +428,13 @@ void FluidNetwork::resolve_incremental() {
     CM5_CHECK_MSG(share < std::numeric_limits<double>::infinity(),
                   "unfrozen flow with no active link");
     if (share < 0.0) share = 0.0;  // guard against FP round-down of residuals
-    const double tol = share * (1.0 + 1e-12);
+    const double tol = share * kFreezeTolerance;
+    if (guarded && band_free) {  // one band event settles the answer
+      fill_levels_.push_back(share);
+      for (const double s : fill_shares_) {
+        band_free = band_free && !(s > share && s <= tol);
+      }
+    }
 
     // Freeze every flow whose path touches a link at exactly this share.
     // The scan is sequential by construction — an earlier freeze in the
@@ -291,8 +444,8 @@ void FluidNetwork::resolve_incremental() {
     bool froze_any = false;
     std::size_t wf = 0;
     for (std::size_t i = 0; i < unfrozen; ++i) {
-      const std::uint32_t k = fill_flows_[i];
-      Slot& f = slots_[active_order_[k].slot];
+      const std::uint32_t si = fill_flows_[i];
+      Slot& f = slots_[si];
       bool bottlenecked = false;
       for (LinkId l : f.route()) {
         if (link_share_[static_cast<std::size_t>(l)] <= tol) {
@@ -301,12 +454,12 @@ void FluidNetwork::resolve_incremental() {
         }
       }
       if (!bottlenecked) {
-        fill_flows_[wf++] = k;
+        fill_flows_[wf++] = si;
         continue;
       }
       if (f.rate != share) {
         f.rate = share;
-        changed_slots_.push_back(active_order_[k].slot);
+        changed_slots_.push_back(si);
       }
       froze_any = true;
       for (LinkId l : f.route()) {
@@ -323,29 +476,34 @@ void FluidNetwork::resolve_incremental() {
     unfrozen = wf;
     CM5_CHECK_MSG(froze_any, "progressive filling failed to make progress");
   }
+  return band_free;
+}
 
-  // Rebuild link loads, in FlowId order so the partial sums match a
-  // whole-network rebuild. Dirtied links not on any active route (for
-  // example a link whose last flow just retired) must drop to zero.
-  for (LinkId l : dirty_links_) {
-    link_load_[static_cast<std::size_t>(l)] = 0.0;
+void FluidNetwork::level_add(double rate) {
+  const auto it =
+      std::lower_bound(levels_.begin(), levels_.end(), std::pair{rate, 0});
+  if (it != levels_.end() && it->first == rate) {
+    ++it->second;
+  } else {
+    levels_.insert(it, {rate, 1});
   }
-  for (LinkId l : live_links_) {
-    link_load_[static_cast<std::size_t>(l)] = 0.0;
+}
+
+void FluidNetwork::level_remove(double rate) {
+  const auto it =
+      std::lower_bound(levels_.begin(), levels_.end(), std::pair{rate, 0});
+  CM5_CHECK_MSG(it != levels_.end() && it->first == rate,
+                "level table out of sync with flow rates");
+  if (--it->second == 0) levels_.erase(it);
+}
+
+bool FluidNetwork::level_near(double m) const {
+  auto it = std::lower_bound(levels_.begin(), levels_.end(), std::pair{m, 0});
+  if (it != levels_.begin() && m <= std::prev(it)->first * kFreezeTolerance) {
+    return true;
   }
-  for (const ActiveRef ref : active_order_) {
-    const Slot& f = slots_[ref.slot];
-    for (LinkId l : f.route()) {
-      link_load_[static_cast<std::size_t>(l)] += f.rate;
-    }
-  }
-  // Refresh projections only for flows whose rate actually changed bits.
-  // A flow whose rate is bit-unchanged progressed linearly at that rate
-  // since its entry was pushed, so the cached projection still describes
-  // the same real-valued completion instant and stays within
-  // kProjectionSlackNs of a fresh one — exactly the invariant
-  // next_event()'s reprojection window is built on.
-  for (const std::uint32_t si : changed_slots_) refresh_heap_entry(si);
+  if (it != levels_.end() && it->first == m) ++it;
+  return it != levels_.end() && it->first <= m * kFreezeTolerance;
 }
 
 void FluidNetwork::resolve_oracle() {
@@ -353,19 +511,7 @@ void FluidNetwork::resolve_oracle() {
   // scratch via solve_max_min. Kept as the reference oracle for
   // differential testing of the incremental path. Scratch vectors are
   // members so repeated solves allocate nothing once warm.
-  // progress_to's busy accounting walks live_links_ and assumes each
-  // solve leaves it duplicate-free, so sweep it here exactly as the
-  // incremental solve does.
-  const std::uint64_t gen = ++stamp_gen_;
-  std::size_t live_link_count = 0;
-  for (const LinkId l : live_links_) {
-    const auto li = static_cast<std::size_t>(l);
-    if (flows_on_link_[li] == 0 || link_stamp_[li] == gen) continue;
-    link_stamp_[li] = gen;
-    live_links_[live_link_count++] = l;
-  }
-  live_links_.resize(live_link_count);
-
+  sweep_live_links();
   oracle_order_.clear();
   oracle_order_.reserve(active_count_);
   for (std::uint32_t si = 0; si < slots_.size(); ++si) {
@@ -386,6 +532,7 @@ void FluidNetwork::resolve_oracle() {
     oracle_routes_.push_back(FlowRoute{slots_[si].route()});
   }
   const std::vector<double> rates = solve_max_min(oracle_routes_, oracle_caps_);
+  stats_.flows_refrozen += static_cast<std::int64_t>(oracle_order_.size());
   std::fill(link_load_.begin(), link_load_.end(), 0.0);
   for (std::size_t i = 0; i < oracle_order_.size(); ++i) {
     Slot& f = slots_[oracle_order_[i]];
@@ -476,7 +623,13 @@ void FluidNetwork::retire_slot(std::uint32_t si) {
   for (LinkId l : f.route()) {
     --flows_on_link_[static_cast<std::size_t>(l)];
     mark_dirty(l);
+    if (!link_flows_.empty()) {
+      auto& on_link = link_flows_[static_cast<std::size_t>(l)];
+      *std::find(on_link.begin(), on_link.end(), si) = on_link.back();
+      on_link.pop_back();
+    }
   }
+  if (!levels_.empty()) level_remove(f.rate);
   f.live = false;
   ++f.epoch;  // invalidate any outstanding heap entry
   f.heap_time = kNoHeapEntry;

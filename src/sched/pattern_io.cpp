@@ -119,7 +119,11 @@ CommPattern load_pattern(const std::string& path) {
   if (!in) throw std::runtime_error("cannot open for reading: " + path);
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  return pattern_from_text(buffer.str());
+  try {
+    return pattern_from_text(buffer.str());
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(path + ": " + e.what());
+  }
 }
 
 }  // namespace cm5::sched

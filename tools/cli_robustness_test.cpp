@@ -16,9 +16,12 @@
 ///     atoi-style silent zero would make a typo'd campaign "pass" CI;
 ///   * trace_analyzer diff/check on a missing, truncated, or non-JSON
 ///     metrics file prints a one-line diagnosis naming the file and
-///     exits 2 instead of dying on an uncaught exception.
+///     exits 2 instead of dying on an uncaught exception;
+///   * the pattern_explorer example does the same for a missing or
+///     malformed --load file and an unknown --pattern kind.
 ///
-/// Binary paths are injected by tools/CMakeLists.txt.
+/// Binary paths are injected by tools/CMakeLists.txt (pattern_explorer's
+/// only when examples are built).
 
 namespace {
 
@@ -189,5 +192,35 @@ TEST(TraceAnalyzerCli, NonJsonFileIsDiagnosedNotThrown) {
   }
   std::remove(path.c_str());
 }
+
+#ifdef CM5_PATTERN_EXPLORER_BIN
+/// Runs pattern_explorer with `args`; it must exit 2 with one line on
+/// stderr containing `expect`.
+void expect_explorer_diagnosis(const std::string& args,
+                               const std::string& expect) {
+  const RunResult r = run(std::string(CM5_PATTERN_EXPLORER_BIN) + " " + args);
+  EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
+  EXPECT_NE(r.output.find(expect), std::string::npos) << r.output;
+  EXPECT_EQ(std::count(r.output.begin(), r.output.end(), '\n'), 1)
+      << r.output;
+}
+
+TEST(PatternExplorerCli, MissingLoadFileIsDiagnosedWithExit2) {
+  const std::string missing = temp_path("cli_robustness_no_such_pattern.txt");
+  std::remove(missing.c_str());
+  expect_explorer_diagnosis("--load " + missing, missing);
+}
+
+TEST(PatternExplorerCli, MalformedLoadFileIsDiagnosedWithExit2) {
+  const std::string path = temp_path("cli_robustness_bad_pattern.txt");
+  write_text(path, "not-a-pattern v9\nnprocs 4\n");
+  expect_explorer_diagnosis("--load " + path, path);
+  std::remove(path.c_str());
+}
+
+TEST(PatternExplorerCli, UnknownPatternKindIsDiagnosedWithExit2) {
+  expect_explorer_diagnosis("--pattern bogus", "unknown pattern kind: bogus");
+}
+#endif
 
 }  // namespace

@@ -85,6 +85,15 @@ std::int64_t time_field(const RowView& row, const char* field) {
       .as_int();
 }
 
+/// A row's perf.flows_refrozen (flows re-frozen by the rate solver), or
+/// "-" for rows without one (files predating the counter, non-sim rows).
+std::string refrozen_of(const RowView& row) {
+  if (row.perf == nullptr || !row.perf->contains("flows_refrozen")) {
+    return "-";
+  }
+  return std::to_string(row.perf->at("flows_refrozen").as_int());
+}
+
 /// The execution backend recorded in the metrics-file root ("fibers" or
 /// "threads"); "?" for files predating the exec_backend field.
 std::string backend_of(const Value& file) {
@@ -160,7 +169,7 @@ int cmd_show(const std::vector<std::string>& files) {
     }
     TextTable table({"row", "makespan (ms)", "compute", "send wait",
                      "recv wait", "barrier", "steps", "max pending",
-                     "wall (ms)", "solves", "heap pops"});
+                     "wall (ms)", "solves", "refrozen", "heap pops"});
     for (const RowView& row : rows_of(file)) {
       std::string wall = "-", solves = "-", pops = "-";
       if (row.perf != nullptr) {
@@ -171,9 +180,11 @@ int cmd_show(const std::vector<std::string>& files) {
         pops = std::to_string(
             row.perf->get("heap_pops", Value(std::int64_t{0})).as_int());
       }
+      const std::string refrozen = refrozen_of(row);
       if (row.metrics == nullptr) {
         table.add_row({row.id, TextTable::fmt(ms(row.makespan_ns), 3), "-",
-                       "-", "-", "-", "-", "-", wall, solves, pops});
+                       "-", "-", "-", "-", "-", wall, solves, refrozen,
+                       pops});
         continue;
       }
       const Value& m = *row.metrics;
@@ -188,7 +199,7 @@ int cmd_show(const std::vector<std::string>& files) {
            std::to_string(m.get("contention", Value())
                               .get("max_pending", Value(std::int64_t{0}))
                               .as_int()),
-           wall, solves, pops});
+           wall, solves, refrozen, pops});
     }
     std::fputs(table.render().c_str(), stdout);
     std::printf("\n");
@@ -211,13 +222,14 @@ int cmd_diff(const std::string& old_path, const std::string& new_path) {
   std::map<std::string, RowView> old_rows;
   for (const RowView& row : rows_of(old_file)) old_rows[row.id] = row;
 
-  TextTable table({"row", "old (ms)", "new (ms)", "delta (ms)", "delta %"});
+  TextTable table({"row", "old (ms)", "new (ms)", "delta (ms)", "delta %",
+                   "refrozen old", "refrozen new"});
   std::size_t matched = 0, regressions = 0;
   for (const RowView& row : rows_of(new_file)) {
     const auto it = old_rows.find(row.id);
     if (it == old_rows.end()) {
       table.add_row({row.id, "(new)", TextTable::fmt(ms(row.makespan_ns), 3),
-                     "-", "-"});
+                     "-", "-", "-", refrozen_of(row)});
       continue;
     }
     ++matched;
@@ -230,12 +242,13 @@ int cmd_diff(const std::string& old_path, const std::string& new_path) {
                   static_cast<double>(it->second.makespan_ns);
     table.add_row({row.id, TextTable::fmt(ms(it->second.makespan_ns), 3),
                    TextTable::fmt(ms(row.makespan_ns), 3),
-                   TextTable::fmt(ms(delta), 3), TextTable::fmt(pct, 2)});
+                   TextTable::fmt(ms(delta), 3), TextTable::fmt(pct, 2),
+                   refrozen_of(it->second), refrozen_of(row)});
     old_rows.erase(it);
   }
   for (const auto& [id, row] : old_rows) {
     table.add_row({id, TextTable::fmt(ms(row.makespan_ns), 3), "(gone)", "-",
-                   "-"});
+                   "-", refrozen_of(row), "-"});
   }
   std::fputs(table.render().c_str(), stdout);
   std::printf("%zu row(s) matched, %zu slower in %s\n", matched, regressions,
