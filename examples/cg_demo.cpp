@@ -22,16 +22,23 @@ int main(int argc, char** argv) {
   util::ArgParser args;
   args.add_option("procs", "16", "simulated nodes (power of two)");
   args.add_option("vertices", "4096", "approximate mesh vertex count");
+  std::int32_t nprocs = 0;
+  std::int32_t target = 0;
   try {
     if (!args.parse(argc, argv)) return 0;
+    nprocs = static_cast<std::int32_t>(args.get_int("procs", 1, 4096, true));
+    target = static_cast<std::int32_t>(args.get_int("vertices", 16, 1 << 20));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+    return 2;
   }
-  const auto nprocs = static_cast<std::int32_t>(args.get_int("procs"));
-  const auto target = static_cast<std::int32_t>(args.get_int("vertices"));
 
   const mesh::TriMesh m = mesh::airfoil_with_target(target, 7);
+  if (m.num_vertices() < nprocs) {
+    std::fprintf(stderr, "error: option --procs: %d nodes but only %d mesh"
+                 " vertices to partition\n", nprocs, m.num_vertices());
+    return 2;
+  }
   const sparse::CsrMatrix a = sparse::CsrMatrix::mesh_laplacian(m);
   const auto part = mesh::rcb_vertex_partition(m, nprocs);
   const mesh::HaloPlan halo = mesh::build_vertex_halo(m, part, nprocs);

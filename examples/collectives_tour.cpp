@@ -20,13 +20,14 @@ int main(int argc, char** argv) {
 
   util::ArgParser args;
   args.add_option("procs", "16", "simulated nodes (power of two)");
+  std::int32_t nprocs = 0;
   try {
     if (!args.parse(argc, argv)) return 0;
+    nprocs = static_cast<std::int32_t>(args.get_int("procs", 1, 4096, true));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+    return 2;
   }
-  const auto nprocs = static_cast<std::int32_t>(args.get_int("procs"));
 
   machine::Cm5Machine cm5(machine::MachineParams::cm5_defaults(nprocs));
   const auto run = cm5.run([&](machine::Node& node) {

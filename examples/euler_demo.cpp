@@ -23,17 +23,25 @@ int main(int argc, char** argv) {
   args.add_option("procs", "16", "simulated nodes (power of two)");
   args.add_option("vertices", "2048", "approximate mesh vertex count");
   args.add_option("steps", "25", "time steps to run");
+  std::int32_t nprocs = 0;
+  std::int32_t target = 0;
+  std::int32_t steps = 0;
   try {
     if (!args.parse(argc, argv)) return 0;
+    nprocs = static_cast<std::int32_t>(args.get_int("procs", 1, 4096, true));
+    target = static_cast<std::int32_t>(args.get_int("vertices", 16, 1 << 20));
+    steps = static_cast<std::int32_t>(args.get_int("steps", 0, 1 << 20));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+    return 2;
   }
-  const auto nprocs = static_cast<std::int32_t>(args.get_int("procs"));
-  const auto target = static_cast<std::int32_t>(args.get_int("vertices"));
-  const auto steps = static_cast<std::int32_t>(args.get_int("steps"));
 
   const mesh::TriMesh m = mesh::airfoil_with_target(target, 3);
+  if (m.num_triangles() < nprocs) {
+    std::fprintf(stderr, "error: option --procs: %d nodes but only %d mesh"
+                 " cells to partition\n", nprocs, m.num_triangles());
+    return 2;
+  }
   const auto part = mesh::rcb_cell_partition(m, nprocs);
   const mesh::HaloPlan halo = mesh::build_cell_halo(m, part, nprocs);
   const auto pattern = halo.pattern(sizeof(Cons));

@@ -21,14 +21,16 @@ int main(int argc, char** argv) {
   util::ArgParser args;
   args.add_option("procs", "8", "simulated nodes (power of two)");
   args.add_option("n", "64", "array side (power of two, multiple of procs)");
+  std::int32_t nprocs = 0;
+  std::int32_t n = 0;
   try {
     if (!args.parse(argc, argv)) return 0;
+    nprocs = static_cast<std::int32_t>(args.get_int("procs", 1, 4096, true));
+    n = static_cast<std::int32_t>(args.get_int("n", nprocs, 4096, true));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+    return 2;
   }
-  const auto nprocs = static_cast<std::int32_t>(args.get_int("procs"));
-  const auto n = static_cast<std::int32_t>(args.get_int("n"));
   const std::int32_t rows = n / nprocs;
 
   // Random input, shared by every run.

@@ -29,18 +29,21 @@ int main(int argc, char** argv) {
   using namespace cm5;
 
   util::ArgParser args;
-  args.add_option("procs", "16", "simulated nodes");
+  args.add_option("procs", "16", "simulated nodes (power of two)");
   args.add_option("elements", "4096", "global array size");
   args.add_option("accesses", "512", "irregular accesses per node");
+  std::int32_t nprocs = 0;
+  std::int64_t elements = 0;
+  std::size_t accesses = 0;
   try {
     if (!args.parse(argc, argv)) return 0;
+    nprocs = static_cast<std::int32_t>(args.get_int("procs", 1, 4096, true));
+    elements = args.get_int("elements", nprocs, 1 << 24);
+    accesses = static_cast<std::size_t>(args.get_int("accesses", 0, 1 << 20));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+    return 2;
   }
-  const auto nprocs = static_cast<std::int32_t>(args.get_int("procs"));
-  const std::int64_t elements = args.get_int("elements");
-  const auto accesses = static_cast<std::size_t>(args.get_int("accesses"));
 
   const runtime::BlockDistribution dist(elements, nprocs);
 

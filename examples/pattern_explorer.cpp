@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     if (!args.parse(argc, argv)) return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+    return 2;
   }
 
   // Bad option values, an unknown pattern kind and unreadable or

@@ -17,14 +17,16 @@ int main(int argc, char** argv) {
   util::ArgParser args;
   args.add_option("procs", "32", "number of simulated nodes (power of two)");
   args.add_option("bytes", "512", "message size per processor pair");
+  std::int32_t nprocs = 0;
+  std::int64_t bytes = 0;
   try {
     if (!args.parse(argc, argv)) return 0;
+    nprocs = static_cast<std::int32_t>(args.get_int("procs", 1, 4096, true));
+    bytes = args.get_int("bytes", 0, 1 << 20);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+    return 2;
   }
-  const auto nprocs = static_cast<std::int32_t>(args.get_int("procs"));
-  const std::int64_t bytes = args.get_int("bytes");
 
   // 1. A simulated CM-5 partition with the paper's §2 constants.
   machine::Cm5Machine cm5(machine::MachineParams::cm5_defaults(nprocs));

@@ -491,6 +491,9 @@ class Kernel {
   std::vector<std::optional<Transfer>> transfers_;
   // flow id (from fluid network) -> transfer id
   std::vector<std::int64_t> flow_to_transfer_;
+  // node -> id of the last transfer started for one of its timed
+  // receives (-1: none this run); fire_timer's only candidate.
+  std::vector<std::int64_t> timed_recv_transfer_;
 
   // Global-op (control network) state.
   struct GlobalOpState {

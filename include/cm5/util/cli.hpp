@@ -32,6 +32,10 @@ class ArgParser {
   /// Typed accessors; the option must have been declared.
   std::string get_string(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;
+  /// get_int that also requires lo <= value <= hi and, if asked, a
+  /// power of two; throws std::runtime_error naming the option.
+  std::int64_t get_int(const std::string& name, std::int64_t lo,
+                       std::int64_t hi, bool power_of_two = false) const;
   double get_double(const std::string& name) const;
   bool get_flag(const std::string& name) const;
 

@@ -94,6 +94,7 @@ class NodeSession {
         n_(node.nprocs()),
         mask_bytes_((static_cast<std::size_t>(n_) + 7) / 8) {
     const auto un = static_cast<std::size_t>(n_);
+    mask_.assign(mask_bytes_, std::byte{0});
     suspected_.assign(un, 0);
     streak_.assign(un, 0);
     peer_rtt_.assign(un, RttEstimator{});
@@ -356,38 +357,35 @@ class NodeSession {
   }
 
   /// End-of-step agreement: concatenate fresh-suspicion bitmasks through
-  /// the control network; every live node derives the same union, and a
-  /// node is excised only after appearing in the union for
-  /// suspicion_rounds consecutive steps (slow != dead). Growth of the
-  /// agreed dead set is a repair event — later steps excise the newly
-  /// dead. A node that finds *itself* excommunicated keeps joining the
-  /// global ops (so the survivors' concatenations stay well-formed) but
-  /// contributes nothing and performs no further data communication.
+  /// the control network; every live node ORs them byte-wise into the
+  /// same union (n * ceil(n/8) byte ORs, not n^2 bit tests), and a node
+  /// is excised only after appearing in the union for suspicion_rounds
+  /// consecutive steps (slow != dead). Growth of the agreed dead set is
+  /// a repair event — later steps excise the newly dead. A node that
+  /// finds *itself* excommunicated keeps joining the global ops (so the
+  /// survivors' concatenations stay well-formed) but contributes nothing
+  /// and performs no further data communication.
   void agree_on_dead() {
-    std::vector<std::byte> mask(mask_bytes_, std::byte{0});
+    std::fill(mask_.begin(), mask_.end(), std::byte{0});
     if (!ledger_.excommunicated) {
       for (std::size_t i = 0; i < static_cast<std::size_t>(n_); ++i) {
         if (suspected_[i] != 0) {
-          mask[i / 8] |= std::byte{1} << (i % 8);
+          mask_[i / 8] |= std::byte{1} << (i % 8);
         }
       }
     }
     const std::vector<std::byte> all =
         ledger_.excommunicated ? node_.global_concat({})
-                               : node_.global_concat(mask);
+                               : node_.global_concat(mask_);
     CM5_CHECK_MSG(all.size() % mask_bytes_ == 0,
                   "agreement concatenation of unexpected size");
-    std::vector<std::uint8_t> suspect_union(static_cast<std::size_t>(n_), 0);
+    std::fill(mask_.begin(), mask_.end(), std::byte{0});
     for (std::size_t base = 0; base < all.size(); base += mask_bytes_) {
-      for (std::size_t i = 0; i < static_cast<std::size_t>(n_); ++i) {
-        if ((all[base + i / 8] & (std::byte{1} << (i % 8))) != std::byte{0}) {
-          suspect_union[i] = 1;
-        }
-      }
+      for (std::size_t b = 0; b < mask_bytes_; ++b) mask_[b] |= all[base + b];
     }
     bool grew = false;
     for (std::size_t i = 0; i < static_cast<std::size_t>(n_); ++i) {
-      if (suspect_union[i] != 0) {
+      if ((mask_[i / 8] & (std::byte{1} << (i % 8))) != std::byte{0}) {
         ++streak_[i];
         if (streak_[i] >= opts_.suspicion_rounds && ledger_.dead[i] == 0) {
           ledger_.dead[i] = 1;
@@ -415,6 +413,7 @@ class NodeSession {
   const NodeId self_;
   const std::int32_t n_;
   const std::size_t mask_bytes_;
+  std::vector<std::byte> mask_;           // agreement scratch, mask_bytes_
   std::vector<std::uint8_t> suspected_;   // fresh suspicions, this step
   std::vector<std::int32_t> streak_;      // consecutive suspected rounds
   std::vector<RttEstimator> peer_rtt_;

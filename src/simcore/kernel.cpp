@@ -535,6 +535,9 @@ void Kernel::start_raw_transfer(util::SimTime match_time, NodeId src,
            tag);
     }
   }
+  if (recv_info && recv_info->deadline) {
+    timed_recv_transfer_[idx(dst)] = transfer_id;
+  }
   transfers_.push_back(Transfer{src, dst, user_bytes, tag, std::move(payload),
                                 kind, dropped, corrupt,
                                 std::move(recv_info)});
@@ -868,19 +871,23 @@ void Kernel::fire_timer(const Timer& timer) {
     // is doomed to be dropped, the receiver must still time out at its
     // deadline — it cannot observe a wire that will never deliver. A
     // healthy in-flight transfer instead commits the delivery (the timer
-    // is stale; the message may complete after the deadline).
-    for (auto& slot : transfers_) {
-      if (!slot || slot->dst != timer.node || !slot->recv_info) continue;
-      const PendingRecv& recv = *slot->recv_info;
-      if (!recv.deadline || *recv.deadline != timer.time) continue;
-      if (!slot->dropped) return;  // delivery committed
-      slot->recv_info.reset();     // completion must not re-arm the wait
-      st.timed_out = true;
-      emit(TraceEvent::Kind::WaitTimeout, timer.time, timer.node,
-           recv.src_filter, 0, recv.tag_filter);
-      wake_node(timer.node, timer.time);
-      return;
-    }
+    // is stale; the message may complete after the deadline). Only the
+    // transfer last started for a timed receive of this node can match:
+    // a blocked node has one posted receive, so at most one live transfer
+    // carries its recv_info, and a dropped transfer's re-arm resets its
+    // own slot before it starts (and records) the next one.
+    const std::int64_t id = timed_recv_transfer_[idx(timer.node)];
+    if (id < 0) return;
+    auto& slot = transfers_[static_cast<std::size_t>(id)];
+    if (!slot || slot->dst != timer.node || !slot->recv_info) return;
+    const PendingRecv recv = *slot->recv_info;
+    if (!recv.deadline || *recv.deadline != timer.time) return;
+    if (!slot->dropped) return;  // delivery committed
+    slot->recv_info.reset();     // completion must not re-arm the wait
+    st.timed_out = true;
+    emit(TraceEvent::Kind::WaitTimeout, timer.time, timer.node,
+         recv.src_filter, 0, recv.tag_filter);
+    wake_node(timer.node, timer.time);
   } else {
     if (!st.gop_deadline || *st.gop_deadline != timer.time) return;
     if (!gop_.waiting[idx(timer.node)]) return;
@@ -1090,6 +1097,7 @@ RunResult Kernel::run(const NodeProgram& program) {
   send_seq_ = 0;
   transfers_.clear();
   flow_to_transfer_.clear();
+  timed_recv_transfer_.assign(static_cast<std::size_t>(n), -1);
   gop_ = GlobalOpState{};
   gop_.contributions.resize(static_cast<std::size_t>(n));
   gop_.waiting.assign(static_cast<std::size_t>(n), false);

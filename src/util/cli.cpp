@@ -82,6 +82,19 @@ std::int64_t ArgParser::get_int(const std::string& name) const {
   }
 }
 
+std::int64_t ArgParser::get_int(const std::string& name, std::int64_t lo,
+                                std::int64_t hi, bool power_of_two) const {
+  const std::int64_t v = get_int(name);
+  if (v < lo || v > hi || (power_of_two && (v <= 0 || (v & (v - 1)) != 0))) {
+    throw std::runtime_error(
+        "option --" + name + ": expected " +
+        (power_of_two ? "a power of two" : "an integer") + " in [" +
+        std::to_string(lo) + ", " + std::to_string(hi) + "]: " +
+        get_string(name));
+  }
+  return v;
+}
+
 double ArgParser::get_double(const std::string& name) const {
   const std::string v = get_string(name);
   try {

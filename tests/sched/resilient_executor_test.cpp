@@ -166,6 +166,79 @@ TEST(ResilientExecutorTest, MidScheduleDeathStillTerminatesAndReportsHonestly) {
             report.edges_total);
 }
 
+// ---------------------------------------------------------------------------
+// Agreement mask edges: one byte with padding bits (n = 2), and a dead
+// node in the top bit of the last byte (n = 64)
+// ---------------------------------------------------------------------------
+
+struct AgreementPin {
+  std::int32_t n;
+  NodeId dead;
+  std::int32_t repairs;
+  std::size_t lost;
+  std::uint64_t lost_hash;
+};
+
+// Order-sensitive FNV-1a over the (step, src, dst, bytes) of every lost
+// edge, so a pinned value catches any change in the set or its order.
+std::uint64_t lost_edge_hash(const std::vector<LostEdge>& lost) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const LostEdge& e : lost) {
+    for (const std::int64_t v :
+         {std::int64_t{e.step}, std::int64_t{e.src}, std::int64_t{e.dst},
+          e.bytes}) {
+      h = (h ^ static_cast<std::uint64_t>(v)) * 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+class AgreementMaskTest : public ::testing::TestWithParam<AgreementPin> {};
+
+TEST_P(AgreementMaskTest, StepZeroDeathMatchesPinnedRepair) {
+  const AgreementPin pin = GetParam();
+  auto machine = make_machine(pin.n);
+  sim::FaultPlan plan;
+  plan.deaths.push_back({pin.dead, 0});
+  machine.set_fault_plan(plan);
+  ResilientOptions opts;
+  opts.suspicion_rounds = 2;
+
+  // A 2-node balanced exchange is a single step, one agreement round
+  // short of excising anyone at suspicion_rounds = 2; four exchange
+  // steps give the rounds to do it.
+  CommSchedule schedule = balanced_exchange_schedule(pin.n, 512);
+  if (pin.n == 2) {
+    schedule = CommSchedule(2);
+    for (int i = 0; i < 4; ++i) {
+      schedule.add_exchange(schedule.add_step(), 0, 1, 512, 512);
+    }
+  }
+  const ResilientRunReport report =
+      run_resilient_schedule(machine, schedule, opts);
+
+  ASSERT_EQ(report.dead_nodes, std::vector<NodeId>{pin.dead})
+      << report.to_string();
+  EXPECT_EQ(report.repairs, pin.repairs);
+  ASSERT_EQ(report.lost_edges.size(), pin.lost);
+  EXPECT_EQ(lost_edge_hash(report.lost_edges), pin.lost_hash);
+  for (const LostEdge& e : report.lost_edges) {
+    EXPECT_TRUE(e.src == pin.dead || e.dst == pin.dead);
+  }
+  EXPECT_EQ(report.edges_delivered +
+                static_cast<std::int64_t>(report.lost_edges.size()),
+            report.edges_total);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MaskWidths, AgreementMaskTest,
+    ::testing::Values(
+        AgreementPin{2, 1, 1, 8, 1191010339699762285ull},
+        AgreementPin{64, 63, 1, 126, 14526838533389243925ull}),
+    [](const ::testing::TestParamInfo<AgreementPin>& param) {
+      return "n" + std::to_string(param.param.n);
+    });
+
 TEST(ResilientExecutorTest, IrregularPatternSurvivesDropsAndDelays) {
   auto machine = make_machine(16);
   sim::FaultPlan plan;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cm5/net/topology.hpp"
@@ -246,6 +247,40 @@ TEST(TimedWaitTest, ReceiveAfterTimeoutStillMatchesTheMessage) {
   });
 }
 
+// (time, node) of every WaitTimeout, in trace order.
+std::vector<std::pair<SimTime, NodeId>> wait_timeouts(
+    const TraceRecorder& rec) {
+  std::vector<std::pair<SimTime, NodeId>> out;
+  for (const TraceEvent& e : rec.events()) {
+    if (e.kind == TraceEvent::Kind::WaitTimeout) {
+      out.emplace_back(e.time, e.node);
+    }
+  }
+  return out;
+}
+
+TEST(TimedWaitTest, HealthyTransferInFlightAtDeadlineDeliversAfterIt) {
+  // The receive matches at 0 and the 2000 B transfer takes 100 us, so it
+  // is still on the wire at the 40 us deadline. A healthy transfer has
+  // committed the delivery: no timeout, the node resumes at 100 us.
+  auto topo = make_topo(4);
+  Kernel kernel(topo);
+  TraceRecorder rec;
+  kernel.set_trace(rec.sink());
+  const RunResult r = kernel.run([](NodeHandle& h) {
+    if (h.id() == 0) {
+      h.post_send(1, 5, 64, 2000, 0, {});
+    } else if (h.id() == 1) {
+      const auto m = h.post_receive_timeout(0, 5, from_us(40));
+      ASSERT_TRUE(m.has_value());
+      EXPECT_EQ(m->size, 64);
+      EXPECT_EQ(h.now(), from_us(100));
+    }
+  });
+  EXPECT_TRUE(wait_timeouts(rec).empty());
+  EXPECT_EQ(r.finish_time[1], from_us(100));
+}
+
 TEST(TimedWaitTest, TryBarrierSucceedsWhenAllArrive) {
   auto topo = make_topo(4);
   Kernel kernel(topo);
@@ -300,11 +335,16 @@ TEST(FaultInjectionTest, TargetedDropLosesExactlyThatMessage) {
 }
 
 TEST(FaultInjectionTest, DroppedMessageTimesOutTheReceiver) {
+  // The doomed transfer is still on the wire (until 100 us) when the
+  // 40 us deadline passes: the receiver times out exactly then, and the
+  // drop itself lands later without waking anyone.
   auto topo = make_topo(4);
   Kernel kernel(topo);
   FaultPlan plan;
   plan.targeted_drops.push_back({0, 1, 0});
   kernel.set_fault_plan(plan);
+  TraceRecorder rec;
+  kernel.set_trace(rec.sink());
 
   const RunResult r = kernel.run([](NodeHandle& h) {
     if (h.id() == 0) {
@@ -314,6 +354,75 @@ TEST(FaultInjectionTest, DroppedMessageTimesOutTheReceiver) {
     }
   });
   EXPECT_EQ(r.finish_time[1], from_us(40));
+  const std::vector<std::pair<SimTime, NodeId>> expected{{from_us(40), 1}};
+  EXPECT_EQ(wait_timeouts(rec), expected);
+  EXPECT_EQ(rec.count(TraceEvent::Kind::FaultDrop), 1);
+}
+
+TEST(FaultInjectionTest, SuccessiveTimedReceivesEachExpireOnTheirOwnDrop) {
+  // Two async sends queue at node 1. The first timed receive consumes
+  // the first copy (dropped, on the wire until 160 us) and times out at
+  // 40 us. The second consumes the second copy (also dropped, on the wire
+  // until 200 us) and times out at its own deadline, 180 us: the first
+  // copy's drop landing at 160 us must not wake it.
+  auto topo = make_topo(4);
+  Kernel kernel(topo);
+  FaultPlan plan;
+  plan.targeted_drops.push_back({0, 1, 0});
+  plan.targeted_drops.push_back({0, 1, 1});
+  kernel.set_fault_plan(plan);
+  TraceRecorder rec;
+  kernel.set_trace(rec.sink());
+  kernel.run([](NodeHandle& h) {
+    if (h.id() == 0) {
+      h.post_send_async(1, 5, 64, 2000, 0, {});
+      h.post_send_async(1, 5, 65, 2000, 0, {});
+    } else if (h.id() == 1) {
+      EXPECT_FALSE(h.post_receive_timeout(0, 5, from_us(40)).has_value());
+      EXPECT_EQ(h.now(), from_us(40));
+      EXPECT_FALSE(h.post_receive_timeout(0, 5, from_us(140)).has_value());
+      EXPECT_EQ(h.now(), from_us(180));
+    }
+  });
+  const std::vector<std::pair<SimTime, NodeId>> expected{{from_us(40), 1},
+                                                         {from_us(180), 1}};
+  EXPECT_EQ(wait_timeouts(rec), expected);
+  EXPECT_EQ(rec.count(TraceEvent::Kind::FaultDrop), 2);
+}
+
+TEST(FaultInjectionTest, DropReArmOntoQueuedSendKeepsTheOriginalDeadline) {
+  // The first copy is dropped at 100 us and the receive re-arms onto the
+  // queued second copy, which would land at 200 us. The 150 us deadline
+  // set at the original post still governs: a dropped second copy times
+  // the receiver out at 150 us, a healthy one delivers at 200 us.
+  for (const bool drop_second : {true, false}) {
+    SCOPED_TRACE(drop_second ? "second copy dropped" : "second copy healthy");
+    auto topo = make_topo(4);
+    Kernel kernel(topo);
+    FaultPlan plan;
+    plan.targeted_drops.push_back({0, 1, 0});
+    if (drop_second) plan.targeted_drops.push_back({0, 1, 1});
+    kernel.set_fault_plan(plan);
+    TraceRecorder rec;
+    kernel.set_trace(rec.sink());
+    kernel.run([&](NodeHandle& h) {
+      if (h.id() == 0) {
+        h.post_send_async(1, 5, 64, 2000, 0, {});
+        h.advance(from_us(10));  // queued before the first copy lands
+        h.post_send_async(1, 5, 65, 2000, 0, {});
+      } else if (h.id() == 1) {
+        const auto m = h.post_receive_timeout(0, 5, from_us(150));
+        EXPECT_EQ(m.has_value(), !drop_second);
+        if (m) {
+          EXPECT_EQ(m->size, 65);
+        }
+        EXPECT_EQ(h.now(), from_us(drop_second ? 150 : 200));
+      }
+    });
+    std::vector<std::pair<SimTime, NodeId>> expected;
+    if (drop_second) expected.emplace_back(from_us(150), 1);
+    EXPECT_EQ(wait_timeouts(rec), expected);
+  }
 }
 
 // ---------------------------------------------------------------------------

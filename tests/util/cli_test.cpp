@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace cm5::util {
 namespace {
@@ -60,6 +61,27 @@ TEST(CliTest, NonNumericValueThrows) {
   const char* argv[] = {"prog", "--procs", "many"};
   ASSERT_TRUE(p.parse(3, argv));
   EXPECT_THROW(p.get_int("procs"), std::runtime_error);
+}
+
+TEST(CliTest, BoundedIntRejectsOutOfRangeAndNonPowersOfTwo) {
+  ArgParser p = make_parser();
+  for (const char* value : {"0", "-4", "3", "8192"}) {
+    const char* argv[] = {"prog", "--procs", value};
+    ASSERT_TRUE(p.parse(3, argv));
+    try {
+      p.get_int("procs", 1, 4096, /*power_of_two=*/true);
+      ADD_FAILURE() << value << " accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("--procs"), std::string::npos);
+      EXPECT_NE(std::string(e.what()).find(value), std::string::npos);
+    }
+  }
+  const char* argv[] = {"prog", "--procs", "3"};
+  ASSERT_TRUE(p.parse(3, argv));
+  EXPECT_EQ(p.get_int("procs", 1, 4096), 3);
+  const char* pow2[] = {"prog", "--procs", "4096"};
+  ASSERT_TRUE(p.parse(3, pow2));
+  EXPECT_EQ(p.get_int("procs", 1, 4096, /*power_of_two=*/true), 4096);
 }
 
 TEST(CliTest, FlagWithValueThrows) {

@@ -18,10 +18,12 @@
 ///     metrics file prints a one-line diagnosis naming the file and
 ///     exits 2 instead of dying on an uncaught exception;
 ///   * the pattern_explorer example does the same for a missing or
-///     malformed --load file and an unknown --pattern kind.
+///     malformed --load file and an unknown --pattern kind, and every
+///     other example for an unknown option or a bad or out-of-range
+///     numeric value (never an abort).
 ///
-/// Binary paths are injected by tools/CMakeLists.txt (pattern_explorer's
-/// only when examples are built).
+/// Binary paths are injected by tools/CMakeLists.txt (the examples' only
+/// when examples are built).
 
 namespace {
 
@@ -194,15 +196,21 @@ TEST(TraceAnalyzerCli, NonJsonFileIsDiagnosedNotThrown) {
 }
 
 #ifdef CM5_PATTERN_EXPLORER_BIN
-/// Runs pattern_explorer with `args`; it must exit 2 with one line on
+/// Runs example `bin` with `args`; it must exit 2 with one line on
 /// stderr containing `expect`.
+void expect_example_diagnosis(const std::string& bin, const std::string& args,
+                              const std::string& expect) {
+  const RunResult r = run(bin + " " + args);
+  EXPECT_EQ(r.exit_code, 2) << bin << " " << args << "\n" << r.output;
+  EXPECT_NE(r.output.find(expect), std::string::npos)
+      << bin << " " << args << "\n" << r.output;
+  EXPECT_EQ(std::count(r.output.begin(), r.output.end(), '\n'), 1)
+      << bin << " " << args << "\n" << r.output;
+}
+
 void expect_explorer_diagnosis(const std::string& args,
                                const std::string& expect) {
-  const RunResult r = run(std::string(CM5_PATTERN_EXPLORER_BIN) + " " + args);
-  EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
-  EXPECT_NE(r.output.find(expect), std::string::npos) << r.output;
-  EXPECT_EQ(std::count(r.output.begin(), r.output.end(), '\n'), 1)
-      << r.output;
+  expect_example_diagnosis(CM5_PATTERN_EXPLORER_BIN, args, expect);
 }
 
 TEST(PatternExplorerCli, MissingLoadFileIsDiagnosedWithExit2) {
@@ -220,6 +228,52 @@ TEST(PatternExplorerCli, MalformedLoadFileIsDiagnosedWithExit2) {
 
 TEST(PatternExplorerCli, UnknownPatternKindIsDiagnosedWithExit2) {
   expect_explorer_diagnosis("--pattern bogus", "unknown pattern kind: bogus");
+}
+
+TEST(ExampleCli, Fft2dDemoRejectsBadSizes) {
+  const std::string bin = CM5_FFT2D_DEMO_BIN;
+  expect_example_diagnosis(bin, "--n abc", "option --n: not an integer: abc");
+  expect_example_diagnosis(bin, "--n 1000", "option --n");
+  expect_example_diagnosis(bin, "--n 4 --procs 8", "option --n");
+  expect_example_diagnosis(bin, "--procs 3", "option --procs");
+  expect_example_diagnosis(bin, "--procs 0", "option --procs");
+}
+
+TEST(ExampleCli, CgDemoRejectsBadNodeAndVertexCounts) {
+  const std::string bin = CM5_CG_DEMO_BIN;
+  expect_example_diagnosis(bin, "--procs 0", "option --procs");
+  expect_example_diagnosis(bin, "--procs 3", "option --procs");
+  expect_example_diagnosis(bin, "--vertices 0", "option --vertices");
+  expect_example_diagnosis(bin, "--procs 64 --vertices 16", "option --procs");
+}
+
+TEST(ExampleCli, EulerDemoRejectsBadNodeVertexAndStepCounts) {
+  const std::string bin = CM5_EULER_DEMO_BIN;
+  expect_example_diagnosis(bin, "--procs -4", "option --procs");
+  expect_example_diagnosis(bin, "--vertices 0", "option --vertices");
+  expect_example_diagnosis(bin, "--steps -1", "option --steps");
+  expect_example_diagnosis(bin, "--procs 64 --vertices 16", "option --procs");
+}
+
+TEST(ExampleCli, PartiDemoRejectsBadSizes) {
+  const std::string bin = CM5_PARTI_DEMO_BIN;
+  expect_example_diagnosis(bin, "--procs 0", "option --procs");
+  expect_example_diagnosis(bin, "--procs 3", "option --procs");
+  expect_example_diagnosis(bin, "--elements 15", "option --elements");
+  expect_example_diagnosis(bin, "--accesses -1", "option --accesses");
+}
+
+TEST(ExampleCli, QuickstartRejectsUnknownOptionAndBadSizes) {
+  const std::string bin = CM5_QUICKSTART_BIN;
+  expect_example_diagnosis(bin, "--bogus 1", "unknown option: --bogus");
+  expect_example_diagnosis(bin, "--procs 0", "option --procs");
+  expect_example_diagnosis(bin, "--bytes -1", "option --bytes");
+}
+
+TEST(ExampleCli, CollectivesTourRejectsBadNodeCounts) {
+  const std::string bin = CM5_COLLECTIVES_TOUR_BIN;
+  expect_example_diagnosis(bin, "--procs 0", "option --procs");
+  expect_example_diagnosis(bin, "--procs 3", "option --procs");
 }
 #endif
 
