@@ -60,8 +60,6 @@ Measured measure_program(const machine::MachineParams& params,
   out.flows_refrozen = result.network.flows_refrozen;
   out.heap_pops = result.network.heap_pops;
   out.context_switches = result.context_switches;
-  out.lanes = result.lanes;
-  out.speculative_grants = result.speculative_grants;
   if (streaming) {
     out.metrics = builder->finalize(&result);
     out.violations = validator->finalize(&result);
@@ -107,8 +105,6 @@ Measured measure_scheduled_pattern(const sched::CommPattern& pattern,
   out.flows_refrozen = run.result.network.flows_refrozen;
   out.heap_pops = run.result.network.heap_pops;
   out.context_switches = run.result.context_switches;
-  out.lanes = run.result.lanes;
-  out.speculative_grants = run.result.speculative_grants;
   out.metrics = std::move(run.metrics);
   out.violations = std::move(run.violations);
   return out;
@@ -236,8 +232,6 @@ void MetricsEmitter::record(const std::string& id, const Measured& run,
   perf["flows_refrozen"] = run.flows_refrozen;
   perf["heap_pops"] = run.heap_pops;
   perf["context_switches"] = run.context_switches;
-  perf["lanes"] = static_cast<std::int64_t>(run.lanes);
-  perf["speculative_grants"] = run.speculative_grants;
   row["perf"] = std::move(perf);
   row["metrics"] = run.metrics.to_json();
   if (!run.violations.empty()) {
@@ -279,8 +273,6 @@ void MetricsEmitter::write() {
   root["smoke"] = smoke_mode();
   root["exec_backend"] = std::string(
       sim::to_string(sim::default_execution_model()));
-  root["exec_lanes"] =
-      static_cast<std::int64_t>(sim::execution_lanes());
   root["violations_total"] = violations_total_;
   if (!deterministic_mode()) {
     // Whole-bench perf trajectory; omitted in deterministic mode so that

@@ -68,11 +68,6 @@ struct Measured {
   /// fiber stack switches, or condvar wakeups under CM5_EXEC_THREADS=1.
   /// Deterministic within a backend; not comparable across backends.
   std::int64_t context_switches = 0;
-  /// Execution lanes the cell ran on and speculative resumes issued
-  /// (RunResult::lanes / speculative_grants). Lanes never change the
-  /// simulated results above — only these host-side perf fields.
-  std::int32_t lanes = 1;
-  std::int64_t speculative_grants = 0;
 };
 
 /// Runs `program` on a machine with `params`, traced and analyzed.

@@ -37,22 +37,6 @@ int main() {
         "solver + trace analysis). The pre-fiber build recorded 5100ms "
         "here, but this container now times the *unchanged* thread oracle "
         "at ~8300ms, so compare ratios, not absolute ms, across PRs.";
-    Value lanes = Value::object();
-    lanes["pre_multilane_total_wall_ms"] = 2887.0;
-    lanes["lanes1_total_wall_ms"] = 3018.0;
-    lanes["lanes4_total_wall_ms"] = 4084.0;
-    lanes["note"] =
-        "interleaved medians of 5, 2026-08, 1-core container: lanes=1 is "
-        "parity with the pre-multilane build (this sweep is solver-bound "
-        "and single-lane takes none of the new cross-thread paths); "
-        "lanes=4 is ~1.4x slower here because one core gives speculation "
-        "zero parallel capacity while lane-boundary handoffs become real "
-        "thread wakeups. CM5_LANES therefore defaults to 1; see "
-        "docs/PERF.md 'Multi-lane numbers' for where multilane wins "
-        "(multi-core hosts, and the TSAN tier: 4096-node stress 67.5s -> "
-        "38.6s vs the thread-oracle pin it replaced). Simulated output "
-        "is byte-identical at every lane count.";
-    base["multilane"] = std::move(lanes);
     metrics.set_perf_baseline(std::move(base));
   }
   const std::vector<std::int32_t> procs =

@@ -155,12 +155,6 @@ class Cm5Machine {
   void set_execution_model(sim::ExecutionModel model) { exec_model_ = model; }
   sim::ExecutionModel execution_model() const noexcept { return exec_model_; }
 
-  /// Lane count for the multi-lane backend (<= 0 means the CM5_LANES
-  /// default). Ignored by single-lane backends. Lane count never changes
-  /// simulated results — see docs/MODEL.md "Lane invariance".
-  void set_execution_lanes(std::int32_t lanes) { exec_lanes_ = lanes; }
-  std::int32_t execution_lanes() const noexcept { return exec_lanes_; }
-
   const MachineParams& params() const noexcept { return params_; }
   const net::FatTreeTopology& topology() const noexcept { return topo_; }
 
@@ -169,7 +163,6 @@ class Cm5Machine {
   net::FatTreeTopology topo_;
   std::optional<sim::FaultPlan> fault_plan_;
   sim::ExecutionModel exec_model_ = sim::default_execution_model();
-  std::int32_t exec_lanes_ = 0;
 };
 
 }  // namespace cm5::machine

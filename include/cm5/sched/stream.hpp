@@ -58,9 +58,7 @@
 /// Determinism contract: a StreamReport is a pure function of
 /// (StreamOptions, machine params). It contains only virtual-time and
 /// counting fields, so it is byte-identical across execution backends
-/// and lane counts (kFibers, kFibersMultiLane at any CM5_LANES,
-/// kThreads) — the stream differential tests enforce this at lanes
-/// {1, 2, 4}.
+/// (kFibers, kThreads) — the stream differential tests enforce this.
 
 namespace cm5::sched {
 
@@ -314,7 +312,7 @@ struct StreamShedEntry {
 };
 
 /// Everything one stream run produced. Pure virtual-time/counting data:
-/// byte-identical across execution backends and lane counts.
+/// byte-identical across execution backends.
 struct StreamReport {
   // --- population --------------------------------------------------------
   std::int64_t requests_generated = 0;
@@ -372,7 +370,7 @@ struct StreamReport {
 /// The machine's installed fault plan is ignored — stream faults come
 /// from options.fault_script — and the machine is returned with no
 /// fault plan installed. Deterministic: same (machine params, options)
-/// means a byte-identical report, on any backend at any lane count.
+/// means a byte-identical report, on either backend.
 StreamReport run_stream(machine::Cm5Machine& machine,
                         const StreamOptions& options);
 

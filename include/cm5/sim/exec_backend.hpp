@@ -19,26 +19,21 @@
 /// node, park a context until its token arrives, unpark the chosen one,
 /// and tell the driver (the caller of Kernel::run) when the run is over.
 ///
-/// Three implementations exist:
+/// Two implementations exist:
 ///
 ///  * kFibers (default): every node program runs on its own pooled
 ///    stack, and a token handoff is a user-space register switch
 ///    (~tens of ns) on the one OS thread that called Kernel::run().
 ///  * kThreads: one OS thread per node, parked on a per-node condition
 ///    variable — the original kernel implementation, retained verbatim
-///    as the differential oracle. A handoff costs two kernel-mediated
-///    context switches, which dominates simulation wall time at scale.
-///  * kFibersMultiLane: fibers statically partitioned over CM5_LANES
-///    lane threads. Token grants stay fully serialized — so traces and
-///    results are byte-identical to kFibers at any lane count — but the
-///    kernel may additionally resume same-virtual-time runnable nodes
-///    *speculatively* (park_speculable/unpark_speculative below), and
-///    their user code between kernel calls runs in parallel on the
-///    lanes. See docs/MODEL.md "Lane invariance".
+///    as the differential oracle and as the backend ThreadSanitizer
+///    checks for real cross-thread handoffs. A handoff costs two
+///    kernel-mediated context switches, which dominates simulation wall
+///    time at scale.
 ///
-/// All backends drive the same scheduling decisions in the same order,
+/// Both backends drive the same scheduling decisions in the same order,
 /// so simulated results (times, traces, table bytes) are identical; see
-/// tests/integration/fuzz_test.cpp (BackendDifferential*, Lane*).
+/// tests/integration/fuzz_test.cpp (BackendDifferential*).
 
 namespace cm5::sim {
 
@@ -46,30 +41,19 @@ using net::NodeId;
 
 /// Which execution mechanism carries node programs.
 enum class ExecutionModel : std::uint8_t {
-  kFibers,          ///< user-space stackful fibers (default)
-  kThreads,         ///< one OS thread per node (oracle)
-  kFibersMultiLane, ///< fibers over CM5_LANES worker threads
+  kFibers,   ///< user-space stackful fibers (default)
+  kThreads,  ///< one OS thread per node (oracle)
 };
 
-/// "fibers" / "threads" / "multilane" — stable strings, recorded in
-/// bench metrics.
+/// "fibers" / "threads" — stable strings, recorded in bench metrics.
 const char* to_string(ExecutionModel model) noexcept;
 
 /// Process-wide default: kFibers, unless CM5_EXEC_THREADS=1 selects the
-/// thread oracle, CM5_LANES>1 selects kFibersMultiLane, or the build
-/// pins plain fibers to threads (see execution_model_pinned_to_threads).
+/// thread oracle.
 ExecutionModel default_execution_model();
 
-/// Lane count for kFibersMultiLane: CM5_LANES clamped to [1, 64],
-/// defaulting to 1 when unset.
+/// Always 1; kept only because benchmark/src records it in its config.
 std::int32_t execution_lanes();
-
-/// True when this build refuses to run *plain* fibers and coerces
-/// kFibers requests to kThreads. Set for ThreadSanitizer builds, where
-/// the historical single-lane backend predates fiber annotations; the
-/// multi-lane backend carries __tsan fiber annotations and runs under
-/// TSAN unconverted (that is the configuration the TSAN CI job pins).
-bool execution_model_pinned_to_threads() noexcept;
 
 /// Fiber stack size in bytes: CM5_FIBER_STACK_KB when set (min 64 KiB),
 /// otherwise 256 KiB (1 MiB under AddressSanitizer, whose redzones
@@ -81,41 +65,27 @@ std::size_t fiber_stack_bytes();
 /// protocol. One instance per Kernel::run(); not reusable.
 ///
 /// Threading contract: launch() and drive() are called by the driver
-/// (the thread that called Kernel::run). park()/park_speculable() are
-/// called only from inside a node context; unpark(),
-/// unpark_speculative(), and notify_finished() from whichever context
-/// currently executes kernel code (driver or node). In concurrent
-/// backends all calls except drive()'s join phase happen with the
-/// kernel mutex held.
+/// (the thread that called Kernel::run). park() is called only from
+/// inside a node context; unpark() and notify_finished() from whichever
+/// context currently executes kernel code (driver or node). In
+/// concurrent backends all calls except drive()'s join phase happen
+/// with the kernel mutex held.
 class ExecutionBackend {
  public:
-  /// Creates a backend for `model`. kFibers is coerced to kThreads when
-  /// execution_model_pinned_to_threads() is true. `lanes` <= 0 means
-  /// execution_lanes(); only kFibersMultiLane uses it.
-  static std::unique_ptr<ExecutionBackend> create(ExecutionModel model,
-                                                  std::int32_t lanes = 0);
+  /// Creates a backend for `model`.
+  static std::unique_ptr<ExecutionBackend> create(ExecutionModel model);
 
   virtual ~ExecutionBackend() = default;
 
   ExecutionBackend(const ExecutionBackend&) = delete;
   ExecutionBackend& operator=(const ExecutionBackend&) = delete;
 
-  /// The model actually in effect (after any build-level coercion).
+  /// The model this backend implements.
   virtual ExecutionModel model() const noexcept = 0;
 
   /// True when node contexts are OS threads that can touch kernel state
   /// concurrently (so the kernel must hold its mutex around that state).
   virtual bool concurrent() const noexcept = 0;
-
-  /// Lane threads carrying node contexts (1 for single-lane backends;
-  /// the thread oracle reports 1 — its per-node threads never run
-  /// concurrently).
-  virtual std::int32_t lanes() const noexcept { return 1; }
-
-  /// True when the kernel may speculatively resume runnable nodes via
-  /// unpark_speculative(). Backends without real parallelism return
-  /// false and never see speculative calls.
-  virtual bool supports_speculation() const noexcept { return false; }
 
   /// Creates contexts 0..n-1; context i runs body(i) exactly once. A
   /// context may begin executing before, at, or after its first unpark —
@@ -130,28 +100,11 @@ class ExecutionBackend {
   virtual void park(std::unique_lock<std::mutex>& lock, NodeId me,
                     const bool& token) = 0;
 
-  /// Like park(), but also returns when `spec` turns true — the kernel
-  /// resumed this node speculatively: it may run *user* code, and must
-  /// park again (plain park) at its next kernel entry until the real
-  /// token arrives. Default: plain park (spec never fires without
-  /// speculation support).
-  virtual void park_speculable(std::unique_lock<std::mutex>& lock, NodeId me,
-                               const bool& token, const bool& spec) {
-    (void)spec;
-    park(lock, me, token);
-  }
-
   /// Signals that `target`'s token flag was set and its context should
   /// resume. Callable from any context, including `target` itself
   /// (self-grant, the advance()/yield fast path — backends make that
   /// free) and for contexts that already finished (ignored).
   virtual void unpark(NodeId target) = 0;
-
-  /// Resumes `target` speculatively (its `spec` flag was set, not its
-  /// token). Only called when supports_speculation() is true. Not
-  /// counted in switches() — speculation volume depends on lane count,
-  /// and switches() must not.
-  virtual void unpark_speculative(NodeId target) { (void)target; }
 
   /// Called once when the kernel flips its run-finished flag.
   virtual void notify_finished() = 0;
@@ -163,10 +116,9 @@ class ExecutionBackend {
                      const bool& finished) = 0;
 
   /// Number of control transfers this run. Fibers count actual stack
-  /// switches; threads and lanes count token wakeups posted to another
-  /// context. Deterministic for a given simulation, comparable only
-  /// within one backend; exported as bench telemetry
-  /// (perf.context_switches).
+  /// switches; threads count token wakeups posted to another context.
+  /// Deterministic for a given simulation, comparable only within one
+  /// backend; exported as bench telemetry (perf.context_switches).
   virtual std::int64_t switches() const noexcept = 0;
 
  protected:

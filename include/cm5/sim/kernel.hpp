@@ -95,10 +95,7 @@ struct RunResult {
   /// Host-side execution telemetry (does not affect simulated results).
   ExecutionModel exec_model = ExecutionModel::kFibers;
   std::int64_t context_switches = 0;
-  /// Lane threads that carried fibers (1 for single-lane backends).
-  std::int32_t lanes = 1;
-  /// Speculative resumes issued (kFibersMultiLane only). Deterministic
-  /// for a given simulation and lane count.
+  /// Always 0; kept only because benchmark/src reads it.
   std::int64_t speculative_grants = 0;
 };
 
@@ -234,21 +231,11 @@ class Kernel {
   }
 
   /// Selects the execution backend for subsequent runs. Defaults to
-  /// default_execution_model() (fibers, unless CM5_EXEC_THREADS=1 or the
-  /// build pins threads). Coerced to kThreads in pinned builds.
+  /// default_execution_model() (fibers, unless CM5_EXEC_THREADS=1).
   void set_execution_model(ExecutionModel model) { exec_model_ = model; }
 
-  /// The model subsequent runs will request (before build-level coercion).
+  /// The model subsequent runs will use.
   ExecutionModel execution_model() const noexcept { return exec_model_; }
-
-  /// Lane count for kFibersMultiLane runs; <= 0 means the process-wide
-  /// default (execution_lanes(), i.e. CM5_LANES). Setting lanes > 1
-  /// while the model is plain kFibers upgrades the run to
-  /// kFibersMultiLane; an explicit kThreads selection ignores lanes.
-  void set_execution_lanes(std::int32_t lanes) { exec_lanes_ = lanes; }
-
-  /// The configured lane count (<= 0: environment default).
-  std::int32_t execution_lanes() const noexcept { return exec_lanes_; }
 
  private:
   friend class NodeHandle;
@@ -370,11 +357,6 @@ class Kernel {
     util::SimTime clock = 0;
     NodeStatus status = NodeStatus::Runnable;
     bool has_token = false;
-    /// Multi-lane speculation: the node was resumed without the token
-    /// and is running user code ahead of its commit slot...
-    bool speculated = false;
-    /// ...and the one-shot wake flag that released its blocked wait.
-    bool spec_resume = false;
     /// Deadlock diagnostics: a static label plus the peer involved.
     /// (Not a std::string — blocking is the hot path, and building a
     /// string per block was a measurable allocation cost.)
@@ -407,16 +389,6 @@ class Kernel {
   // --- all methods below require the kernel lock (see exec_lock) ---
   void schedule_next(std::unique_lock<std::mutex>& lock);
   void wait_for_token(std::unique_lock<std::mutex>& lock, NodeId me);
-  /// Blocks `me` until it holds the token. Every kernel entry that can
-  /// mutate kernel state passes through this gate; for a speculatively
-  /// resumed node (multi-lane) it parks until the node's commit slot
-  /// arrives, for everyone else the token is already held and the gate
-  /// is free. This is what serializes commits into single-lane order.
-  void commit_gate(std::unique_lock<std::mutex>& lock, NodeId me);
-  /// Speculatively resumes runnable nodes whose clock equals the
-  /// granted time `t` (kFibersMultiLane): their user code overlaps the
-  /// committing node on other lanes; commit_gate re-serializes them.
-  void speculate_same_time(NodeId granted, util::SimTime t);
   /// Sets `id`'s token and unparks its context via the backend. The only
   /// way a token is ever granted.
   void grant(NodeId id);
@@ -462,16 +434,8 @@ class Kernel {
 
   // Execution seam: how node contexts get stacks and trade the token.
   ExecutionModel exec_model_ = default_execution_model();
-  std::int32_t exec_lanes_ = 0;  ///< <= 0: execution_lanes() default
   std::unique_ptr<ExecutionBackend> backend_;  ///< live only during run()
   bool backend_concurrent_ = true;
-  // Live only during run(): whether the backend takes speculative
-  // resumes, how far past the granted node to scan, and how many were
-  // issued (deterministic; reported in RunResult).
-  bool speculate_ = false;
-  std::int32_t spec_lookahead_ = 0;
-  std::int64_t spec_grants_ = 0;
-  std::vector<RunnableEntry> spec_scan_;  ///< scratch for the lane scan
 
   // Unmatched sends per destination node.
   std::vector<std::deque<PendingSend>> send_queues_;

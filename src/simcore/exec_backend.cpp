@@ -7,17 +7,6 @@
 
 #include "cm5/util/check.hpp"
 
-#if defined(__SANITIZE_THREAD__)
-#define CM5_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define CM5_TSAN 1
-#endif
-#endif
-#ifndef CM5_TSAN
-#define CM5_TSAN 0
-#endif
-
 #if defined(__SANITIZE_ADDRESS__)
 #define CM5_ASAN 1
 #elif defined(__has_feature)
@@ -32,8 +21,6 @@
 namespace cm5::sim {
 
 std::unique_ptr<ExecutionBackend> make_fiber_backend();  // fiber_backend.cpp
-std::unique_ptr<ExecutionBackend> make_multilane_backend(
-    std::int32_t lanes);  // multilane_backend.cpp
 
 const char* to_string(ExecutionModel model) noexcept {
   switch (model) {
@@ -41,30 +28,17 @@ const char* to_string(ExecutionModel model) noexcept {
       return "fibers";
     case ExecutionModel::kThreads:
       return "threads";
-    case ExecutionModel::kFibersMultiLane:
-      return "multilane";
   }
   return "unknown";
 }
 
-bool execution_model_pinned_to_threads() noexcept { return CM5_TSAN != 0; }
-
-std::int32_t execution_lanes() {
-  if (const char* v = std::getenv("CM5_LANES"); v != nullptr && v[0] != '\0') {
-    const long n = std::atol(v);
-    if (n > 64) return 64;
-    if (n >= 1) return static_cast<std::int32_t>(n);
-  }
-  return 1;
-}
+std::int32_t execution_lanes() { return 1; }
 
 ExecutionModel default_execution_model() {
   if (const char* v = std::getenv("CM5_EXEC_THREADS");
       v != nullptr && v[0] == '1' && v[1] == '\0') {
     return ExecutionModel::kThreads;
   }
-  if (execution_lanes() > 1) return ExecutionModel::kFibersMultiLane;
-  if (execution_model_pinned_to_threads()) return ExecutionModel::kThreads;
   return ExecutionModel::kFibers;
 }
 
@@ -147,11 +121,7 @@ class ThreadBackend final : public ExecutionBackend {
 }  // namespace
 
 std::unique_ptr<ExecutionBackend> ExecutionBackend::create(
-    ExecutionModel model, std::int32_t lanes) {
-  if (model == ExecutionModel::kFibersMultiLane) {
-    return make_multilane_backend(lanes > 0 ? lanes : execution_lanes());
-  }
-  if (execution_model_pinned_to_threads()) model = ExecutionModel::kThreads;
+    ExecutionModel model) {
   if (model == ExecutionModel::kFibers) return make_fiber_backend();
   return std::make_unique<ThreadBackend>();
 }

@@ -22,11 +22,9 @@
 /// ready queue serializes those wakeups in grant order so each fiber
 /// can unwind, mirroring the thread backend's release-everyone notify.
 ///
-/// The switch primitive and sanitizer annotations live in
-/// fiber_context.hpp, shared with the multi-lane backend. Plain-fiber
-/// requests are still coerced to kThreads under ThreadSanitizer (see
-/// ExecutionBackend::create); the multi-lane backend is the fiber
-/// configuration TSAN exercises.
+/// The switch primitive and the AddressSanitizer/ThreadSanitizer
+/// annotations that let the tools follow a stack switch live in
+/// fiber_context.hpp.
 
 namespace cm5::sim {
 namespace {

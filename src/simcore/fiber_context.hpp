@@ -7,18 +7,17 @@
 #include "cm5/sim/stack_pool.hpp"
 
 /// \file fiber_context.hpp
-/// Stackful-fiber machinery shared by the fiber execution backends
-/// (fiber_backend.cpp and multilane_backend.cpp): context layout, boot
-/// image construction, the switch primitive, and the sanitizer
-/// annotations that let AddressSanitizer and ThreadSanitizer follow a
-/// stack switch.
+/// Stackful-fiber machinery behind the fiber execution backend
+/// (fiber_backend.cpp): context layout, boot image construction, the
+/// switch primitive, and the sanitizer annotations that let
+/// AddressSanitizer and ThreadSanitizer follow a stack switch.
 ///
 /// On x86_64 a switch is the hand-rolled register swap in
 /// fiber_context_x86_64.S (~tens of ns; no syscall); elsewhere it falls
 /// back to swapcontext(), which costs a sigprocmask syscall per switch.
 /// A fiber is pinned to the OS thread that first resumes it — the
-/// sanitizer handshakes are per-thread, and the multi-lane backend's
-/// static node->lane assignment guarantees it.
+/// sanitizer handshakes are per-thread, and the fiber backend runs
+/// every fiber of a run on the thread that called Kernel::run().
 
 #if defined(__SANITIZE_ADDRESS__)
 #define CM5_ASAN 1

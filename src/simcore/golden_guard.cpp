@@ -20,21 +20,16 @@ bool golden_regen_requested() {
   if (!env_set("CM5_REGEN_GOLDEN")) return false;
 
   const char* reason = nullptr;
-  if (env_set("CM5_EXEC_THREADS")) {
-    reason = "CM5_EXEC_THREADS selects the thread-oracle backend";
-  } else if (execution_lanes() > 1) {
-    reason = "CM5_LANES selects multi-lane execution";
+  if (default_execution_model() == ExecutionModel::kThreads) {
+    reason = "CM5_EXEC_THREADS=1 selects the thread-oracle backend";
   } else if (env_set("CM5_SOLVER_ORACLE")) {
     reason = "CM5_SOLVER_ORACLE selects the reference rate solver";
-  } else if (execution_model_pinned_to_threads()) {
-    reason = "this build pins execution to threads (sanitizer)";
   }
   if (reason != nullptr) {
     throw std::runtime_error(
         std::string("CM5_REGEN_GOLDEN refused: ") + reason +
         "; goldens must be regenerated under the default configuration "
-        "(unset CM5_EXEC_THREADS/CM5_LANES/CM5_SOLVER_ORACLE and use a "
-        "plain build)");
+        "(unset CM5_EXEC_THREADS/CM5_SOLVER_ORACLE)");
   }
   return true;
 }

@@ -22,8 +22,6 @@ std::int32_t NodeHandle::nprocs() const noexcept {
 
 util::SimTime NodeHandle::now() const {
   auto lock = kernel_->exec_lock();
-  // Safe without the commit gate: a speculated node is Runnable, and a
-  // runnable node's clock only moves at its own hand.
   return kernel_->nodes_[idx(id_)].clock;
 }
 
@@ -31,7 +29,6 @@ void NodeHandle::advance(util::SimDuration d) {
   CM5_CHECK_MSG(d >= 0, "cannot charge negative compute time");
   Kernel& k = *kernel_;
   auto lock = k.exec_lock();
-  k.commit_gate(lock, id_);
   k.check_abort(id_);
   Kernel::NodeState& me = k.nodes_[idx(id_)];
   // Gray failure: a slowed node's compute and per-message service time
@@ -60,7 +57,6 @@ void NodeHandle::post_send(NodeId dst, std::int32_t tag,
                     static_cast<std::int64_t>(payload.size()) == user_bytes,
                 "payload must be empty (phantom) or exactly user_bytes long");
   auto lock = k.exec_lock();
-  k.commit_gate(lock, id_);
   k.check_abort(id_);
   Kernel::NodeState& me = k.nodes_[idx(id_)];
   if (k.nodes_[idx(dst)].killed) {
@@ -116,7 +112,6 @@ void NodeHandle::post_send_async(NodeId dst, std::int32_t tag,
                     static_cast<std::int64_t>(payload.size()) == user_bytes,
                 "payload must be empty (phantom) or exactly user_bytes long");
   auto lock = k.exec_lock();
-  k.commit_gate(lock, id_);
   k.check_abort(id_);
   Kernel::NodeState& me = k.nodes_[idx(id_)];
   ++me.counters.sends;
@@ -157,7 +152,6 @@ void NodeHandle::post_send_async(NodeId dst, std::int32_t tag,
 void NodeHandle::wait_async_sends() {
   Kernel& k = *kernel_;
   auto lock = k.exec_lock();
-  k.commit_gate(lock, id_);
   k.check_abort(id_);
   Kernel::NodeState& me = k.nodes_[idx(id_)];
   if (me.async_in_flight == 0) return;
@@ -190,7 +184,6 @@ std::optional<Message> NodeHandle::receive_impl(
   CM5_CHECK_MSG(src == kAnyNode || (src >= 0 && src < k.topo_.num_nodes()),
                 "receive: bad source filter");
   auto lock = k.exec_lock();
-  k.commit_gate(lock, id_);
   k.check_abort(id_);
   Kernel::NodeState& me = k.nodes_[idx(id_)];
   if (!timeout && src != kAnyNode && k.nodes_[idx(src)].killed) {
@@ -263,7 +256,6 @@ Message NodeHandle::post_swap(NodeId peer, std::int32_t tag,
                     static_cast<std::int64_t>(payload.size()) == user_bytes,
                 "payload must be empty (phantom) or exactly user_bytes long");
   auto lock = k.exec_lock();
-  k.commit_gate(lock, id_);
   k.check_abort(id_);
   Kernel::NodeState& me = k.nodes_[idx(id_)];
   if (k.nodes_[idx(peer)].killed) {
@@ -324,7 +316,6 @@ std::vector<std::byte> NodeHandle::global_op(
   Kernel& k = *kernel_;
   CM5_CHECK(duration >= 0);
   auto lock = k.exec_lock();
-  k.commit_gate(lock, id_);
   k.check_abort(id_);
   Kernel::NodeState& me = k.nodes_[idx(id_)];
   ++me.counters.global_ops;
@@ -355,7 +346,6 @@ bool NodeHandle::try_barrier(util::SimDuration timeout,
   CM5_CHECK(duration >= 0);
   CM5_CHECK_MSG(timeout >= 0, "barrier timeout must be non-negative");
   auto lock = k.exec_lock();
-  k.commit_gate(lock, id_);
   k.check_abort(id_);
   Kernel::NodeState& me = k.nodes_[idx(id_)];
   ++me.counters.global_ops;
@@ -441,23 +431,11 @@ std::unique_lock<std::mutex> Kernel::exec_lock() {
 }
 
 void Kernel::wait_for_token(std::unique_lock<std::mutex>& lock, NodeId me) {
-  // Every block point is speculable: a spec_resume releases the wait
-  // without the token, the epilogue and following user code run ahead,
-  // and the next kernel entry's commit_gate re-serializes the node.
-  NodeState& st = nodes_[idx(me)];
-  backend_->park_speculable(lock, me, st.has_token, st.spec_resume);
-  st.spec_resume = false;
-}
-
-void Kernel::commit_gate(std::unique_lock<std::mutex>& lock, NodeId me) {
-  NodeState& st = nodes_[idx(me)];
-  if (!st.has_token) backend_->park(lock, me, st.has_token);
+  backend_->park(lock, me, nodes_[idx(me)].has_token);
 }
 
 void Kernel::grant(NodeId id) {
-  NodeState& st = nodes_[idx(id)];
-  st.has_token = true;
-  st.speculated = false;
+  nodes_[idx(id)].has_token = true;
   backend_->unpark(id);
 }
 
@@ -760,7 +738,6 @@ void Kernel::schedule_next(std::unique_lock<std::mutex>& lock) {
 
     if (best != -1) {
       grant(best);
-      if (speculate_) speculate_same_time(best, best_t);
       return;
     }
 
@@ -777,39 +754,6 @@ void Kernel::schedule_next(std::unique_lock<std::mutex>& lock) {
     for (NodeId n = 0; n < topo_.num_nodes(); ++n) grant(n);
     return;
   }
-}
-
-void Kernel::speculate_same_time(NodeId granted, util::SimTime t) {
-  // Wake other nodes runnable at exactly the granted virtual time so
-  // their user code can overlap with the token holder's on other lanes.
-  // This must not disturb scheduling state: heap entries are popped,
-  // examined, and re-pushed identically (same clock, same node), and
-  // nothing here touches clocks, statuses, or the token. Nodes in any
-  // abnormal state (killed / timed out / peer failed) are skipped — the
-  // speculative path must never race an abort-flag handoff.
-  std::int32_t budget = spec_lookahead_;
-  spec_scan_.clear();
-  while (budget > 0 && !runnable_queue_.empty() &&
-         runnable_queue_.top().clock == t) {
-    const RunnableEntry e = runnable_queue_.top();
-    runnable_queue_.pop();
-    const NodeState& st = nodes_[idx(e.node)];
-    if (st.status != NodeStatus::Runnable || st.clock != e.clock) {
-      continue;  // stale entry: drop it, it costs no budget
-    }
-    spec_scan_.push_back(e);
-    --budget;
-    if (e.node == granted || st.has_token || st.speculated ||
-        st.spec_resume || st.killed || st.timed_out || st.peer_failed) {
-      continue;
-    }
-    NodeState& wr = nodes_[idx(e.node)];
-    wr.speculated = true;
-    wr.spec_resume = true;
-    ++spec_grants_;
-    backend_->unpark_speculative(e.node);
-  }
-  for (const RunnableEntry& e : spec_scan_) runnable_queue_.push(e);
 }
 
 void Kernel::recompute_gop_max_arrival() {
@@ -1038,14 +982,9 @@ void Kernel::node_main(const NodeProgram& program, NodeId id) {
     // Another node failed first; unwind quietly.
   } catch (const DeadlockError&) {
     auto lock = exec_lock();
-    commit_gate(lock, id);
     if (!first_error_) first_error_ = std::current_exception();
   } catch (...) {
     auto lock = exec_lock();
-    // A speculating node may throw from user code before it holds the
-    // token; the gate re-serializes so "first" error means first in
-    // token order, identically at every lane count.
-    commit_gate(lock, id);
     if (!first_error_) {
       first_error_ = std::current_exception();
       abort_ = true;
@@ -1054,7 +993,6 @@ void Kernel::node_main(const NodeProgram& program, NodeId id) {
   }
 
   auto lock = exec_lock();
-  commit_gate(lock, id);
   NodeState& me = nodes_[idx(id)];
   me.status = NodeStatus::Done;
   me.has_token = false;
@@ -1144,15 +1082,8 @@ RunResult Kernel::run(const NodeProgram& program) {
   deadlock_message_.clear();
   first_error_ = nullptr;
 
-  ExecutionModel model = exec_model_;
-  if (exec_lanes_ > 1 && model == ExecutionModel::kFibers) {
-    model = ExecutionModel::kFibersMultiLane;
-  }
-  backend_ = ExecutionBackend::create(model, exec_lanes_);
+  backend_ = ExecutionBackend::create(exec_model_);
   backend_concurrent_ = backend_->concurrent();
-  speculate_ = backend_->supports_speculation();
-  spec_lookahead_ = 4 * backend_->lanes();
-  spec_grants_ = 0;
   backend_->launch(n, [this, &program](NodeId i) { node_main(program, i); });
 
   {
@@ -1162,7 +1093,6 @@ RunResult Kernel::run(const NodeProgram& program) {
   }
   const ExecutionModel ran_model = backend_->model();
   const std::int64_t switches = backend_->switches();
-  const std::int32_t ran_lanes = backend_->lanes();
   backend_.reset();
   backend_concurrent_ = true;
 
@@ -1193,8 +1123,6 @@ RunResult Kernel::run(const NodeProgram& program) {
   result.network = fluid_->stats();
   result.exec_model = ran_model;
   result.context_switches = switches;
-  result.lanes = ran_lanes;
-  result.speculative_grants = spec_grants_;
   return result;
 }
 

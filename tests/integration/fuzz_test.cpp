@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 
 #include "cm5/machine/machine.hpp"
 #include "cm5/net/fluid_network.hpp"
@@ -401,9 +402,7 @@ TEST_P(FuzzTest, CheckpointKillResumeIsBitIdentical) {
 // trace event stream (order included), same per-node finish times and
 // counters, same network statistics. Each compared fiber/thread run pair
 // is one case: 12 seeds x (28 + 28 + 28) pairs >= 1000 cases across the
-// suite, fault-injected runs included. (Under TSAN builds fibers are
-// pinned to threads and the comparison degenerates to thread-vs-thread;
-// the real differential runs in the default and ASAN configurations.)
+// suite, fault-injected runs included.
 
 struct BackendCapture {
   std::vector<sim::TraceEvent> events;
@@ -423,57 +422,47 @@ BackendCapture capture_run(sim::ExecutionModel model, std::int32_t nprocs,
   return out;
 }
 
-/// Core of every differential: two captures must describe byte-identical
-/// simulations — same event stream, same per-node results, same network
-/// stats. Host-side perf fields (context_switches, lanes,
-/// speculative_grants) are deliberately NOT compared: they describe the
+/// Core of every differential: the fiber and thread captures must
+/// describe byte-identical simulations — same event stream, same
+/// per-node results, same network stats. Host-side perf fields
+/// (context_switches) are deliberately NOT compared: they describe the
 /// mechanism, not the simulation.
-void expect_captures_identical(const BackendCapture& a_cap,
-                               const BackendCapture& b_cap,
-                               const std::string& a_name,
-                               const std::string& b_name,
+void expect_backends_identical(const BackendCapture& fib,
+                               const BackendCapture& thr,
                                const std::string& what) {
-  ASSERT_EQ(a_cap.events.size(), b_cap.events.size()) << what;
-  for (std::size_t i = 0; i < a_cap.events.size(); ++i) {
-    const sim::TraceEvent& a = a_cap.events[i];
-    const sim::TraceEvent& b = b_cap.events[i];
+  EXPECT_EQ(fib.result.exec_model, sim::ExecutionModel::kFibers) << what;
+  EXPECT_EQ(thr.result.exec_model, sim::ExecutionModel::kThreads) << what;
+  ASSERT_EQ(fib.events.size(), thr.events.size()) << what;
+  for (std::size_t i = 0; i < fib.events.size(); ++i) {
+    const sim::TraceEvent& a = fib.events[i];
+    const sim::TraceEvent& b = thr.events[i];
     ASSERT_TRUE(a.kind == b.kind && a.time == b.time && a.node == b.node &&
                 a.peer == b.peer && a.bytes == b.bytes && a.tag == b.tag)
-        << what << " diverges at event " << i << ":\n  " << a_name << ": "
-        << sim::to_string(a) << "\n  " << b_name << ": " << sim::to_string(b);
+        << what << " diverges at event " << i << ":\n  fibers : "
+        << sim::to_string(a) << "\n  threads: " << sim::to_string(b);
   }
-  EXPECT_EQ(a_cap.result.makespan, b_cap.result.makespan) << what;
-  EXPECT_EQ(a_cap.result.finish_time, b_cap.result.finish_time) << what;
-  ASSERT_EQ(a_cap.result.node_counters.size(),
-            b_cap.result.node_counters.size());
-  for (std::size_t i = 0; i < a_cap.result.node_counters.size(); ++i) {
-    const sim::NodeCounters& a = a_cap.result.node_counters[i];
-    const sim::NodeCounters& b = b_cap.result.node_counters[i];
+  EXPECT_EQ(fib.result.makespan, thr.result.makespan) << what;
+  EXPECT_EQ(fib.result.finish_time, thr.result.finish_time) << what;
+  ASSERT_EQ(fib.result.node_counters.size(),
+            thr.result.node_counters.size());
+  for (std::size_t i = 0; i < fib.result.node_counters.size(); ++i) {
+    const sim::NodeCounters& a = fib.result.node_counters[i];
+    const sim::NodeCounters& b = thr.result.node_counters[i];
     EXPECT_EQ(a.sends, b.sends) << what << " node " << i;
     EXPECT_EQ(a.receives, b.receives) << what << " node " << i;
     EXPECT_EQ(a.bytes_sent, b.bytes_sent) << what << " node " << i;
     EXPECT_EQ(a.global_ops, b.global_ops) << what << " node " << i;
     EXPECT_EQ(a.compute_time, b.compute_time) << what << " node " << i;
   }
-  EXPECT_EQ(a_cap.result.network.flows_started,
-            b_cap.result.network.flows_started)
+  EXPECT_EQ(fib.result.network.flows_started,
+            thr.result.network.flows_started)
       << what;
-  EXPECT_EQ(a_cap.result.network.flows_completed,
-            b_cap.result.network.flows_completed)
+  EXPECT_EQ(fib.result.network.flows_completed,
+            thr.result.network.flows_completed)
       << what;
-  EXPECT_EQ(a_cap.result.network.bytes_by_level,
-            b_cap.result.network.bytes_by_level)
+  EXPECT_EQ(fib.result.network.bytes_by_level,
+            thr.result.network.bytes_by_level)
       << what;
-}
-
-void expect_backends_identical(const BackendCapture& fib,
-                               const BackendCapture& thr,
-                               const std::string& what) {
-  if (!sim::execution_model_pinned_to_threads()) {
-    EXPECT_EQ(fib.result.exec_model, sim::ExecutionModel::kFibers) << what;
-    EXPECT_EQ(thr.result.exec_model, sim::ExecutionModel::kThreads) << what;
-  }
-  expect_captures_identical(fib, thr, "fibers ", "threads", what);
 }
 
 void compare_backends(std::int32_t nprocs,
@@ -621,7 +610,7 @@ TEST_P(FuzzTest, BackendDifferentialFaultyRunsAgree) {
       BackendCapture out;
       out.result = report.run;
       out.events = recorder.events();
-      return std::pair(std::move(out), report);
+      return std::pair(std::move(out), report.to_json().dump());
     };
     const auto [fib, fib_report] =
         resilient_capture(sim::ExecutionModel::kFibers);
@@ -630,203 +619,16 @@ TEST_P(FuzzTest, BackendDifferentialFaultyRunsAgree) {
     const std::string what =
         "seed " + std::to_string(seed) + " faulty " + std::to_string(variant);
     expect_backends_identical(fib, thr, what);
-    EXPECT_EQ(fib_report.edges_delivered, thr_report.edges_delivered) << what;
-    EXPECT_EQ(fib_report.edges_total, thr_report.edges_total) << what;
+    // The whole report — counts, per-step timings, digests — byte for
+    // byte.
+    EXPECT_EQ(fib_report, thr_report) << what;
   }
 }
 
-// --- lane-count differential ------------------------------------------------
-//
-// The multi-lane backend promises byte-identical simulations at every
-// lane count (docs/MODEL.md "Lane invariance"): the kernel serializes
-// token grants and only node user code overlaps. Each battery compares
-// lanes in {2, 4} against the single-lane fiber run, over the same
-// program families the backend differential uses — schedules, primitive
-// soup, faulty resilient runs and checkpoint/resume kill points.
-
-constexpr std::int32_t kLaneCounts[] = {2, 4};
-
-BackendCapture capture_lanes(std::int32_t lanes, std::int32_t nprocs,
-                             const std::optional<sim::FaultPlan>& plan,
-                             const machine::Program& program) {
-  Cm5Machine m(MachineParams::cm5_defaults(nprocs));
-  m.set_execution_model(sim::ExecutionModel::kFibers);
-  m.set_execution_lanes(lanes);
-  if (plan) m.set_fault_plan(*plan);
-  sim::TraceRecorder recorder;
-  BackendCapture out;
-  out.result = m.run_traced(program, recorder.sink());
-  out.events = recorder.events();
-  return out;
-}
-
-void compare_lanes(std::int32_t nprocs,
-                   const std::optional<sim::FaultPlan>& plan,
-                   const machine::Program& program, const std::string& what) {
-  const BackendCapture one =
-      capture_run(sim::ExecutionModel::kFibers, nprocs, plan, program);
-  for (const std::int32_t lanes : kLaneCounts) {
-    const BackendCapture multi = capture_lanes(lanes, nprocs, plan, program);
-    EXPECT_EQ(multi.result.exec_model, sim::ExecutionModel::kFibersMultiLane)
-        << what;
-    EXPECT_EQ(multi.result.lanes, std::min(lanes, nprocs)) << what;
-    expect_captures_identical(one, multi, "1 lane ",
-                              std::to_string(lanes) + " lanes",
-                              what + " lanes=" + std::to_string(lanes));
-  }
-}
-
-TEST_P(FuzzTest, LaneDifferentialSchedulesAgree) {
-  // Random patterns through every scheduler, clean runs.
-  const std::uint64_t seed = GetParam();
-  util::Rng rng(seed * 3671 + 29);
-  for (int variant = 0; variant < 2; ++variant) {
-    const auto nprocs = static_cast<std::int32_t>(1 << rng.next_in(2, 5));
-    const double density = 0.10 + rng.next_double() * 0.6;
-    const auto bytes = rng.next_in(1, 2048);
-    const auto pattern = patterns::random_density(
-        nprocs, density, bytes,
-        seed * 607 + static_cast<std::uint64_t>(variant));
-    for (const auto scheduler :
-         {sched::Scheduler::Linear, sched::Scheduler::Pairwise,
-          sched::Scheduler::Balanced, sched::Scheduler::Greedy}) {
-      const auto schedule = sched::build_schedule(scheduler, pattern);
-      compare_lanes(
-          nprocs, std::nullopt,
-          [&](Node& node) { sched::execute_schedule(node, schedule); },
-          "seed " + std::to_string(seed) + " variant " +
-              std::to_string(variant) + " " +
-              std::string(sched::scheduler_name(scheduler)));
-    }
-  }
-}
-
-TEST_P(FuzzTest, LaneDifferentialPrimitiveSoupAgrees) {
-  // Random programs over every blocking primitive, including timed
-  // receives and timed barriers that really expire — the paths where a
-  // speculated node must not observe its timeout early.
-  const std::uint64_t seed = GetParam();
-  for (int variant = 0; variant < 6; ++variant) {
-    util::Rng shape(seed * 829 + static_cast<std::uint64_t>(variant));
-    const auto nprocs = static_cast<std::int32_t>(1 << shape.next_in(1, 4));
-    const auto ops = static_cast<int>(shape.next_in(8, 24));
-    const auto mix =
-        static_cast<std::uint64_t>(shape.next_in(0, std::int64_t{1} << 30));
-    const auto program = [&, nprocs, ops, mix](Node& node) {
-      util::Rng rng = util::Rng::forked(
-          seed * 37 + static_cast<std::uint64_t>(mix),
-          static_cast<std::uint64_t>(node.self()));
-      const auto next =
-          static_cast<machine::NodeId>((node.self() + 1) % nprocs);
-      const auto prev = static_cast<machine::NodeId>(
-          (node.self() + nprocs - 1) % nprocs);
-      for (int op = 0; op < ops; ++op) {
-        node.compute(util::from_us(rng.next_in(1, 40)));
-        switch ((static_cast<std::uint64_t>(op) + mix) % 6) {
-          case 0:
-            node.barrier();
-            break;
-          case 1:
-            if (node.self() % 2 == 0) {
-              node.send_block(next, rng.next_in(0, 512), 100 + op);
-              (void)node.receive_block(prev, 100 + op);
-            } else {
-              (void)node.receive_block(prev, 100 + op);
-              node.send_block(next, rng.next_in(0, 512), 100 + op);
-            }
-            break;
-          case 2:
-            (void)node.swap_block(node.self() % 2 == 0 ? next : prev,
-                                  rng.next_in(1, 1024), 200 + op);
-            break;
-          case 3:
-            node.send_async(next, rng.next_in(0, 256), 300 + op);
-            (void)node.receive_block(prev, 300 + op);
-            node.wait_sends();
-            break;
-          case 4:
-            EXPECT_FALSE(
-                node.receive_timeout(prev, 9999, util::from_us(25)));
-            break;
-          default:
-            (void)node.reduce_sum(static_cast<double>(node.self() + op));
-            break;
-        }
-      }
-      if (node.self() == 0) {
-        node.compute(util::from_ms(50));
-      } else {
-        EXPECT_FALSE(node.try_barrier(util::from_us(10)));
-      }
-      node.barrier();
-    };
-    compare_lanes(nprocs, std::nullopt, program,
-                  "seed " + std::to_string(seed) + " soup " +
-                      std::to_string(variant));
-  }
-}
-
-TEST_P(FuzzTest, LaneDifferentialFaultyResilientRunsAgree) {
-  // Fault injection through the resilient executor: drops, delays and
-  // fail-stop deaths. The death path aborts and releases every fiber —
-  // across lane threads — and the resulting report must not change.
-  const std::uint64_t seed = GetParam();
-  for (int variant = 0; variant < 4; ++variant) {
-    util::Rng shape(seed * 2693 + static_cast<std::uint64_t>(variant) * 11);
-    const std::int32_t nprocs = 8;
-    const auto pattern = patterns::exact_density(
-        nprocs, 0.15 + 0.5 * shape.next_double(), 256,
-        seed * 1181 + static_cast<std::uint64_t>(variant));
-    const auto schedule =
-        sched::build_schedule(sched::Scheduler::Greedy, pattern);
-
-    sim::FaultPlan plan;
-    plan.seed = seed * 59 + static_cast<std::uint64_t>(variant);
-    plan.drop_prob = 0.05 * static_cast<double>(shape.next_in(0, 2));
-    plan.delay_prob = 0.10;
-    plan.delay = util::from_us(50);
-    if (variant % 2 == 1) {
-      plan.deaths.push_back(
-          {static_cast<machine::NodeId>(
-               shape.next_below(static_cast<std::uint64_t>(nprocs))),
-           util::from_us(shape.next_in(100, 900))});
-    }
-
-    const auto resilient_capture = [&](std::int32_t lanes) {
-      Cm5Machine m(MachineParams::cm5_defaults(nprocs));
-      m.set_execution_model(sim::ExecutionModel::kFibers);
-      m.set_execution_lanes(lanes);
-      m.set_fault_plan(plan);
-      sim::TraceRecorder recorder;
-      sched::ResilientOptions options;
-      options.trace = recorder.sink();
-      const auto report = sched::run_resilient_schedule(m, schedule, options);
-      BackendCapture out;
-      out.result = report.run;
-      out.events = recorder.events();
-      return std::pair(std::move(out), report.to_json().dump());
-    };
-    const auto [one, one_report] = resilient_capture(1);
-    const std::string what =
-        "seed " + std::to_string(seed) + " faulty " + std::to_string(variant);
-    for (const std::int32_t lanes : kLaneCounts) {
-      const auto [multi, multi_report] = resilient_capture(lanes);
-      expect_captures_identical(one, multi, "1 lane ",
-                                std::to_string(lanes) + " lanes",
-                                what + " lanes=" + std::to_string(lanes));
-      // The whole report — counts, per-step timings, digests — byte for
-      // byte.
-      EXPECT_EQ(one_report, multi_report)
-          << what << " lanes=" << lanes;
-    }
-  }
-}
-
-TEST_P(FuzzTest, LaneDifferentialCheckpointResumeAgrees) {
-  // Checkpoint/resume kill points at mixed lane counts: the full run,
-  // the killed run and the resumed run each use a different lane count,
-  // and the resumed report must still match the uninterrupted single-lane
-  // run byte for byte.
+TEST_P(FuzzTest, BackendDifferentialCheckpointResumeAgrees) {
+  // Checkpoint/resume across backends: a checkpoint taken on one backend
+  // resumes on the other, and the resumed report must still match the
+  // uninterrupted fiber run byte for byte.
   const std::uint64_t seed = GetParam();
   const std::int32_t nprocs = 8;
   const auto pattern = patterns::exact_density(
@@ -844,32 +646,35 @@ TEST_P(FuzzTest, LaneDifferentialCheckpointResumeAgrees) {
                            util::from_us(1500)});
   }
 
-  const auto machine_with_lanes = [&](std::int32_t lanes) {
+  const auto machine_on = [&](sim::ExecutionModel model) {
     Cm5Machine m(MachineParams::cm5_defaults(nprocs));
-    m.set_execution_model(sim::ExecutionModel::kFibers);
-    m.set_execution_lanes(lanes);
+    m.set_execution_model(model);
     m.set_fault_plan(plan);
     return m;
   };
   sched::ResilientOptions options;
   options.measure_fault_free_baseline = false;
 
-  Cm5Machine full_machine = machine_with_lanes(1);
+  Cm5Machine full_machine = machine_on(sim::ExecutionModel::kFibers);
   const auto full =
       sched::run_resilient_schedule(full_machine, schedule, options);
   const std::string want = full.to_json().dump();
 
-  // Kill after the first and last step boundaries; spread the lane
-  // counts so kill and resume run on different backends.
+  // Kill after the first step on threads and resume on fibers, then
+  // kill after the last step on fibers and resume on threads.
   const std::int32_t last = schedule.num_steps() - 1;
-  for (const std::int32_t step : {std::int32_t{0}, last}) {
+  for (const auto& [step, kill_on, resume_on] :
+       {std::tuple{std::int32_t{0}, sim::ExecutionModel::kThreads,
+                   sim::ExecutionModel::kFibers},
+        std::tuple{last, sim::ExecutionModel::kFibers,
+                   sim::ExecutionModel::kThreads}}) {
     std::shared_ptr<const sched::ResilientCheckpoint> token;
     sched::ResilientOptions stop = options;
     stop.stop_after_step = step;
     stop.checkpoint_sink = [&](const sched::ResilientCheckpoint& cp) {
       token = std::make_shared<sched::ResilientCheckpoint>(cp);
     };
-    Cm5Machine stop_machine = machine_with_lanes(2);
+    Cm5Machine stop_machine = machine_on(kill_on);
     const auto partial =
         sched::run_resilient_schedule(stop_machine, schedule, stop);
     ASSERT_NE(token, nullptr) << "seed " << seed << " step " << step;
@@ -877,12 +682,13 @@ TEST_P(FuzzTest, LaneDifferentialCheckpointResumeAgrees) {
 
     sched::ResilientOptions resume = options;
     resume.resume_from = token;
-    Cm5Machine resume_machine = machine_with_lanes(4);
+    Cm5Machine resume_machine = machine_on(resume_on);
     const auto resumed =
         sched::run_resilient_schedule(resume_machine, schedule, resume);
     EXPECT_EQ(resumed.to_json().dump(), want)
-        << "seed " << seed << " killed after step " << step
-        << " (kill at 2 lanes, resume at 4)";
+        << "seed " << seed << " killed after step " << step << " on "
+        << sim::to_string(kill_on) << ", resumed on "
+        << sim::to_string(resume_on);
   }
 }
 
@@ -892,7 +698,7 @@ TEST_P(FuzzTest, LaneDifferentialCheckpointResumeAgrees) {
 // promise byte-identical output to the retained batch oracles
 // (sim::analyze_batch / sim::validate_trace_batch) on any kernel-
 // produced trace. Each compared trace is one case: 12 seeds x
-// (28 clean + 28 faulty + 28 lane-cycled) >= 1000 cases across the
+// (28 clean + 28 faulty + 28 thread-backend) >= 1000 cases across the
 // suite. Metrics are compared through their full JSON dump (every node,
 // step and link row), violations as exact string vectors.
 
@@ -980,16 +786,14 @@ TEST_P(FuzzTest, StreamingAnalysisMatchesBatchOnFaultyRuns) {
   }
 }
 
-TEST_P(FuzzTest, StreamingAnalysisMatchesBatchAcrossLanes) {
-  // 28 lane-cycled cases per seed (at least: 9 patterns x lanes 1/2/4,
-  // plus one extra at the widest pattern): the multi-lane backend commits
-  // events through a different mechanism, so the streaming consumers see
-  // its (identical, by lane invariance) stream produced under real
-  // overlap.
+TEST_P(FuzzTest, StreamingAnalysisMatchesBatchOnThreads) {
+  // 28 cases per seed, every trace produced by the thread oracle: its
+  // node programs hand the token across real OS threads, so the
+  // streaming consumers see the (backend-invariant) event stream
+  // committed from many threads instead of one.
   const std::uint64_t seed = GetParam();
   util::Rng rng(seed * 5381 + 23);
-  int cases = 0;
-  for (int variant = 0; variant < 10 && cases < 28; ++variant) {
+  for (int variant = 0; variant < 28; ++variant) {
     const auto nprocs = static_cast<std::int32_t>(1 << rng.next_in(2, 4));
     const double density = 0.15 + rng.next_double() * 0.5;
     const auto bytes = rng.next_in(1, 1024);
@@ -1000,21 +804,13 @@ TEST_P(FuzzTest, StreamingAnalysisMatchesBatchAcrossLanes) {
         sched::build_schedule(variant % 2 == 0 ? sched::Scheduler::Pairwise
                                                : sched::Scheduler::Balanced,
                               pattern);
-    const auto program = [&](Node& node) {
-      sched::execute_schedule(node, schedule);
-    };
-    for (const std::int32_t lanes : {1, 2, 4}) {
-      const BackendCapture cap =
-          lanes == 1
-              ? capture_run(sim::ExecutionModel::kFibers, nprocs, std::nullopt,
-                            program)
-              : capture_lanes(lanes, nprocs, std::nullopt, program);
-      expect_streaming_matches_batch(
-          cap.events, nprocs, &cap.result,
-          "seed " + std::to_string(seed) + " variant " +
-              std::to_string(variant) + " lanes " + std::to_string(lanes));
-      ++cases;
-    }
+    const BackendCapture cap = capture_run(
+        sim::ExecutionModel::kThreads, nprocs, std::nullopt,
+        [&](Node& node) { sched::execute_schedule(node, schedule); });
+    expect_streaming_matches_batch(
+        cap.events, nprocs, &cap.result,
+        "seed " + std::to_string(seed) + " variant " +
+            std::to_string(variant));
   }
 }
 

@@ -35,10 +35,10 @@
 ///    above it at scale.
 ///
 /// Execution configuration is pinned, not inherited: giant runs always
-/// use fiber stacks (8192 OS threads is not a thing this container — or
-/// TSAN — will do), under TSAN via the annotated multi-lane backend.
-/// Lane count and backend never change simulated results (docs/MODEL.md
-/// "Lane invariance"), so the goldens hold in every configuration.
+/// use fiber stacks (8192 OS threads is not a thing a test host — or
+/// TSAN — will do), also under CM5_EXEC_THREADS=1. The backend never
+/// changes simulated results, so the goldens hold in every
+/// configuration.
 ///
 /// Regenerate after an intentional model change:
 ///
@@ -98,20 +98,29 @@ std::string summarize(const sim::RunResult& r) {
   return out.str();
 }
 
-/// Fiber-stack execution regardless of environment: plain fibers
-/// normally, the TSAN-annotated multi-lane backend when the build pins
-/// plain fibers to threads.
+/// Fiber-stack execution regardless of environment.
 Cm5Machine giant_machine(std::int32_t nprocs) {
   Cm5Machine m(MachineParams::cm5_defaults(nprocs));
   m.set_execution_model(sim::ExecutionModel::kFibers);
-  if (sim::execution_model_pinned_to_threads()) m.set_execution_lanes(2);
   return m;
 }
 
-/// Sanitizer instrumentation multiplies giant-run wall time; the trend
-/// still gets checked at the sizes that fit the budget, and the 8192
-/// goldens are covered by every non-sanitizer configuration.
-bool reduced_budget() { return sim::execution_model_pinned_to_threads(); }
+/// ThreadSanitizer instrumentation multiplies giant-run wall time; the
+/// trend still gets checked at the sizes that fit the budget, and the
+/// 8192 goldens are covered by every other configuration.
+constexpr bool reduced_budget() {
+#if defined(__SANITIZE_THREAD__)
+  return true;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+  return true;
+#else
+  return false;
+#endif
+#else
+  return false;
+#endif
+}
 
 void check_golden(const std::string& name, const sim::RunResult& r) {
   const std::string text = summarize(r);

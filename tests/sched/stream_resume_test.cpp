@@ -14,7 +14,7 @@
 /// The stream determinism contract, enforced end to end:
 ///
 ///   * a StreamReport is a pure function of (options, machine params) —
-///     byte-identical across execution backends and lane counts;
+///     byte-identical across execution backends;
 ///   * a stream killed at *any* batch boundary resumes from its
 ///     checkpoint into a bit-identical final report (fuzzed across
 ///     seeds and batching policies);
@@ -51,20 +51,16 @@ std::string full_dump(const StreamReport& report) {
   return report.to_json(true).dump();
 }
 
-TEST(StreamDeterminism, ByteIdenticalAcrossBackendsAndLanes) {
+TEST(StreamDeterminism, ByteIdenticalAcrossBackends) {
   const StreamOptions options = faulty_options(21, BatchPolicy::kTenantFair);
 
-  Cm5Machine base(MachineParams::cm5_defaults(8));
-  base.set_execution_model(sim::ExecutionModel::kFibers);
-  const std::string reference = full_dump(run_stream(base, options));
-
-  for (const std::int32_t lanes : {1, 2, 4}) {
-    Cm5Machine m(MachineParams::cm5_defaults(8));
-    m.set_execution_model(sim::ExecutionModel::kFibersMultiLane);
-    m.set_execution_lanes(lanes);
-    EXPECT_EQ(full_dump(run_stream(m, options)), reference)
-        << "multilane report diverged at lanes=" << lanes;
-  }
+  Cm5Machine fibers(MachineParams::cm5_defaults(8));
+  fibers.set_execution_model(sim::ExecutionModel::kFibers);
+  Cm5Machine threads(MachineParams::cm5_defaults(8));
+  threads.set_execution_model(sim::ExecutionModel::kThreads);
+  EXPECT_EQ(full_dump(run_stream(threads, options)),
+            full_dump(run_stream(fibers, options)))
+      << "thread-oracle stream report diverged from fibers";
 }
 
 TEST(StreamResume, KillAtEveryBatchBoundaryResumesBitIdentical) {

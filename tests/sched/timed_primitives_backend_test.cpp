@@ -17,19 +17,20 @@
 #include "cm5/sim/fault.hpp"
 #include "cm5/util/time.hpp"
 
-/// Timed primitives under the multi-lane fiber backend. The stream
-/// executor's whole determinism story rests on receive_timeout and
-/// try_barrier expiring at the *same simulated instant* regardless of
-/// how many host lanes execute the fibers — a lane that delivers a
+/// Timed primitives on both execution backends. The stream executor's
+/// whole determinism story rests on receive_timeout and try_barrier
+/// expiring at the *same simulated instant* regardless of which host
+/// mechanism carries the node programs — a backend that delivers a
 /// wakeup early or late would silently skew every resilient recovery
 /// window. These tests pin:
 ///
 ///   * expiry instants of both timed primitives, observed per node,
-///     byte-identical across kFibers and kFibersMultiLane lanes {1,2,4};
+///     byte-identical across kFibers and kThreads;
 ///   * the resilient executor's drop-driven recovery windows (its retry
 ///     loop is built on receive_timeout) producing byte-identical run
-///     reports across lanes, with recv_timeouts > 0 proving the windows
-///     actually expired rather than the run staying on the fast path.
+///     reports across backends, with recv_timeouts > 0 proving the
+///     windows actually expired rather than the run staying on the fast
+///     path.
 
 namespace cm5 {
 namespace {
@@ -62,15 +63,12 @@ std::string dump_expiries(std::vector<Expiry> expiries) {
   return out;
 }
 
-/// Runs the timed-primitive program on one backend configuration and
-/// returns (makespan, sorted expiry log).
+/// Runs the timed-primitive program on one backend and returns
+/// (makespan, sorted expiry log).
 std::pair<std::int64_t, std::string> run_timed_program(
-    sim::ExecutionModel model, std::int32_t lanes) {
+    sim::ExecutionModel model) {
   Cm5Machine m(MachineParams::cm5_defaults(kNodes));
   m.set_execution_model(model);
-  if (model == sim::ExecutionModel::kFibersMultiLane) {
-    m.set_execution_lanes(lanes);
-  }
   std::mutex mu;
   std::vector<Expiry> expiries;
   const auto record = [&](std::int32_t node, std::int64_t at,
@@ -80,7 +78,7 @@ std::pair<std::int64_t, std::string> run_timed_program(
   };
   const auto result = m.run([&](Node& node) {
     const std::int32_t self = node.self();
-    // Stagger the nodes so lanes genuinely interleave, then post a
+    // Stagger the nodes so their waits interleave, then post a
     // receive nobody will ever satisfy: it must expire exactly 40 us
     // after it was posted, on every backend.
     node.compute(from_us(self * 3));
@@ -102,7 +100,7 @@ std::pair<std::int64_t, std::string> run_timed_program(
     }
 
     // A timed barrier node 0 never joins in time: every other node's
-    // withdrawal instant must agree across lanes.
+    // withdrawal instant must agree across backends.
     if (self == 0) {
       node.compute(from_us(5000));
       node.barrier();
@@ -115,23 +113,17 @@ std::pair<std::int64_t, std::string> run_timed_program(
   return {result.makespan, dump_expiries(std::move(expiries))};
 }
 
-TEST(MultilaneTimedPrimitives, ExpiryInstantsAgreeAcrossBackendsAndLanes) {
-  const auto reference =
-      run_timed_program(sim::ExecutionModel::kFibers, 1);
-  EXPECT_FALSE(reference.second.empty());
-  for (const std::int32_t lanes : {1, 2, 4}) {
-    const auto got =
-        run_timed_program(sim::ExecutionModel::kFibersMultiLane, lanes);
-    EXPECT_EQ(got.first, reference.first) << "makespan, lanes=" << lanes;
-    EXPECT_EQ(got.second, reference.second)
-        << "expiry log diverged at lanes=" << lanes;
-  }
+TEST(TimedPrimitivesAcrossBackends, ExpiryInstantsAgree) {
+  const auto fibers = run_timed_program(sim::ExecutionModel::kFibers);
+  EXPECT_FALSE(fibers.second.empty());
+  const auto threads = run_timed_program(sim::ExecutionModel::kThreads);
+  EXPECT_EQ(threads.first, fibers.first) << "makespan";
+  EXPECT_EQ(threads.second, fibers.second) << "expiry log diverged";
 }
 
 /// The resilient executor's recovery windows are receive_timeout calls;
 /// heavy drops force them to expire and drive the retry loop.
 std::string run_resilient_under_drops(sim::ExecutionModel model,
-                                      std::int32_t lanes,
                                       std::int64_t* recv_timeouts) {
   const auto pattern =
       patterns::random_density(kNodes, 0.45, 512, /*seed=*/923);
@@ -147,9 +139,6 @@ std::string run_resilient_under_drops(sim::ExecutionModel model,
 
   Cm5Machine m(MachineParams::cm5_defaults(kNodes));
   m.set_execution_model(model);
-  if (model == sim::ExecutionModel::kFibersMultiLane) {
-    m.set_execution_lanes(lanes);
-  }
   m.set_fault_plan(plan);
 
   sched::ResilientOptions options;
@@ -161,20 +150,18 @@ std::string run_resilient_under_drops(sim::ExecutionModel model,
   return report.to_json().dump();
 }
 
-TEST(MultilaneTimedPrimitives, RecoveryWindowsAgreeAcrossLanes) {
-  std::int64_t reference_timeouts = 0;
-  const std::string reference = run_resilient_under_drops(
-      sim::ExecutionModel::kFibers, 1, &reference_timeouts);
+TEST(TimedPrimitivesAcrossBackends, RecoveryWindowsAgree) {
+  std::int64_t fiber_timeouts = 0;
+  const std::string fibers = run_resilient_under_drops(
+      sim::ExecutionModel::kFibers, &fiber_timeouts);
   // The point of the scenario: recovery windows really expired.
-  EXPECT_GT(reference_timeouts, 0);
+  EXPECT_GT(fiber_timeouts, 0);
 
-  for (const std::int32_t lanes : {1, 4}) {
-    std::int64_t timeouts = 0;
-    const std::string got = run_resilient_under_drops(
-        sim::ExecutionModel::kFibersMultiLane, lanes, &timeouts);
-    EXPECT_EQ(got, reference) << "resilient report diverged, lanes=" << lanes;
-    EXPECT_EQ(timeouts, reference_timeouts);
-  }
+  std::int64_t thread_timeouts = 0;
+  const std::string threads = run_resilient_under_drops(
+      sim::ExecutionModel::kThreads, &thread_timeouts);
+  EXPECT_EQ(threads, fibers) << "resilient report diverged";
+  EXPECT_EQ(thread_timeouts, fiber_timeouts);
 }
 
 }  // namespace

@@ -31,11 +31,7 @@ TEST(FiberBackendTest, ModelSelectionAndCoercion) {
   Kernel kernel(topo);
   kernel.set_execution_model(ExecutionModel::kFibers);
   const RunResult r = kernel.run([](NodeHandle& h) { h.advance(from_us(1)); });
-  if (execution_model_pinned_to_threads()) {
-    EXPECT_EQ(r.exec_model, ExecutionModel::kThreads);
-  } else {
-    EXPECT_EQ(r.exec_model, ExecutionModel::kFibers);
-  }
+  EXPECT_EQ(r.exec_model, ExecutionModel::kFibers);
   EXPECT_GT(r.context_switches, 0);
 
   kernel.set_execution_model(ExecutionModel::kThreads);

@@ -22,7 +22,7 @@ namespace cm5::sim {
 namespace {
 
 const char* const kKnobs[] = {"CM5_REGEN_GOLDEN", "CM5_EXEC_THREADS",
-                              "CM5_LANES", "CM5_SOLVER_ORACLE"};
+                              "CM5_SOLVER_ORACLE"};
 
 /// Clears every knob the guard reads for the test body, then restores
 /// the ambient values (a CI row's configuration must survive this test
@@ -46,11 +46,6 @@ class GoldenGuardTest : public ::testing::Test {
   std::vector<std::pair<std::string, std::string>> saved_;
 };
 
-/// On sanitizer builds that pin execution to threads, even a clean
-/// environment is a non-canonical configuration: the guard must refuse
-/// there too, and these tests assert that instead of regen behaviour.
-bool build_is_canonical() { return !execution_model_pinned_to_threads(); }
-
 TEST_F(GoldenGuardTest, OffWhenUnsetEmptyOrZero) {
   EXPECT_FALSE(golden_regen_requested());
   ASSERT_EQ(::setenv("CM5_REGEN_GOLDEN", "", 1), 0);
@@ -61,11 +56,7 @@ TEST_F(GoldenGuardTest, OffWhenUnsetEmptyOrZero) {
 
 TEST_F(GoldenGuardTest, GrantsRegenOnlyInCanonicalConfig) {
   ASSERT_EQ(::setenv("CM5_REGEN_GOLDEN", "1", 1), 0);
-  if (build_is_canonical()) {
-    EXPECT_TRUE(golden_regen_requested());
-  } else {
-    EXPECT_THROW(golden_regen_requested(), std::runtime_error);
-  }
+  EXPECT_TRUE(golden_regen_requested());
 }
 
 TEST_F(GoldenGuardTest, RefusesUnderThreadOracle) {
@@ -74,19 +65,18 @@ TEST_F(GoldenGuardTest, RefusesUnderThreadOracle) {
   EXPECT_THROW(golden_regen_requested(), std::runtime_error);
   // CM5_EXEC_THREADS=0 is the default spelled out, not a knob.
   ASSERT_EQ(::setenv("CM5_EXEC_THREADS", "0", 1), 0);
-  if (build_is_canonical()) {
-    EXPECT_TRUE(golden_regen_requested());
-  }
+  EXPECT_TRUE(golden_regen_requested());
 }
 
-TEST_F(GoldenGuardTest, RefusesUnderMultiLaneExecution) {
+TEST_F(GoldenGuardTest, FollowsTheBackendTheRunUses) {
+  // Only exactly "1" selects the thread oracle; any other value leaves
+  // the run on fibers, so regeneration must go ahead — a refusal there
+  // would name a backend the run does not use.
   ASSERT_EQ(::setenv("CM5_REGEN_GOLDEN", "1", 1), 0);
-  ASSERT_EQ(::setenv("CM5_LANES", "4", 1), 0);
-  EXPECT_THROW(golden_regen_requested(), std::runtime_error);
-  // One lane is the canonical configuration, merely spelled out.
-  ASSERT_EQ(::setenv("CM5_LANES", "1", 1), 0);
-  if (build_is_canonical()) {
-    EXPECT_TRUE(golden_regen_requested());
+  for (const char* value : {"2", "true", "yes"}) {
+    ASSERT_EQ(::setenv("CM5_EXEC_THREADS", value, 1), 0);
+    ASSERT_EQ(default_execution_model(), ExecutionModel::kFibers) << value;
+    EXPECT_TRUE(golden_regen_requested()) << "CM5_EXEC_THREADS=" << value;
   }
 }
 
@@ -100,12 +90,13 @@ TEST_F(GoldenGuardTest, RefusalNamesTheOffendingKnob) {
   // The error must tell the operator *which* knob blocked regeneration —
   // "regen refused" with no reason is a debugging session.
   ASSERT_EQ(::setenv("CM5_REGEN_GOLDEN", "1", 1), 0);
-  ASSERT_EQ(::setenv("CM5_LANES", "2", 1), 0);
+  ASSERT_EQ(::setenv("CM5_SOLVER_ORACLE", "1", 1), 0);
   try {
     golden_regen_requested();
-    FAIL() << "expected the guard to throw under CM5_LANES=2";
+    FAIL() << "expected the guard to throw under CM5_SOLVER_ORACLE=1";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("CM5_LANES"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("CM5_SOLVER_ORACLE"),
+              std::string::npos)
         << "actual message: " << e.what();
   }
 }
