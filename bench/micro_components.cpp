@@ -1,9 +1,12 @@
 /// Microbenchmarks (google-benchmark) of the simulator's own components:
 /// schedule construction cost (the paper amortizes it over iterations,
 /// §4.5 — these numbers justify that), the max-min rate solver, the DES
-/// kernel's message throughput, and the FFT kernel.
+/// kernel's message throughput, and the FFT kernel (one transform, and a
+/// plan reused over one node's rows of the data-mode 2-D FFT).
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "cm5/fft/fft1d.hpp"
 #include "cm5/machine/machine.hpp"
@@ -92,6 +95,33 @@ void BM_Fft1d(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_Fft1d)->Arg(1024)->Arg(4096)->Arg(16384);
+
+/// One node's row phase of fft2d-data: a plan built once and run over the
+/// node's 64 rows of length n (n = 2048 on 32 nodes). The rows are reset
+/// from the input outside the timed region, so every run transforms the
+/// same finite values.
+void BM_FftPlanRows(benchmark::State& state) {
+  constexpr std::size_t kRows = 64;
+  const auto n = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(5);
+  std::vector<fft::Complex> input(kRows * n);
+  for (auto& x : input) x = fft::Complex(rng.next_double(), rng.next_double());
+  std::vector<fft::Complex> rows(input.size());
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::copy(input.begin(), input.end(), rows.begin());
+    state.ResumeTiming();
+    const fft::FftPlan plan(n);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      plan.run(std::span(rows).subspan(r * n, n));
+    }
+    benchmark::DoNotOptimize(rows.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kRows * n));
+}
+BENCHMARK(BM_FftPlanRows)->Arg(2048);
 
 }  // namespace
 

@@ -46,7 +46,13 @@ class Node {
   void send_block(NodeId dst, std::int64_t bytes, std::int32_t tag = 0);
 
   /// Blocking send carrying real data (used by the verifying applications).
+  /// Copies `data` into the message; forwards to the overload below.
   void send_block_data(NodeId dst, std::span<const std::byte> data,
+                       std::int32_t tag = 0);
+  /// Same send, taking ownership of `data` as the message payload instead
+  /// of copying it: for callers that are done with the buffer. Timing is
+  /// identical to the span overload.
+  void send_block_data(NodeId dst, std::vector<std::byte>&& data,
                        std::int32_t tag = 0);
 
   /// Blocking receive; src/tag may be wildcards (kAnyNode / kAnyTag).

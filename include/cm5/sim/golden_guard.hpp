@@ -18,8 +18,9 @@ namespace cm5::sim {
 /// rewriting the golden — if regeneration is requested while any
 /// non-default execution configuration is active: the thread oracle
 /// (default_execution_model() is kThreads, i.e. CM5_EXEC_THREADS=1) or
-/// the reference rate solver (CM5_SOLVER_ORACLE set, non-empty, not
-/// "0").
+/// the reference rate solver (solver_oracle_requested(), i.e.
+/// CM5_SOLVER_ORACLE=1). Other values of either knob select nothing and
+/// do not block regeneration.
 bool golden_regen_requested();
 
 }  // namespace cm5::sim

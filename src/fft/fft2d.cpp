@@ -51,9 +51,13 @@ void fft2d_distributed(Node& node, ExchangeAlgorithm algorithm,
   const auto r32 = static_cast<std::size_t>(layout.rows);
   const auto n32 = static_cast<std::size_t>(n);
 
+  // Both phases run length-n transforms: one plan serves every row and
+  // every column.
+  const FftPlan plan(n32, inverse);
+
   // Phase 1: FFT my rows.
   for (std::size_t r = 0; r < r32; ++r) {
-    fft_inplace(std::span(local_rows).subspan(r * n32, n32), inverse);
+    plan.run(std::span(local_rows).subspan(r * n32, n32));
   }
   node.compute_flops(static_cast<double>(layout.rows) * fft_flops(n));
 
@@ -105,7 +109,7 @@ void fft2d_distributed(Node& node, ExchangeAlgorithm algorithm,
 
   // Phase 2: FFT my columns (now stored as rows).
   for (std::size_t c = 0; c < r32; ++c) {
-    fft_inplace(std::span(columns).subspan(c * n32, n32), inverse);
+    plan.run(std::span(columns).subspan(c * n32, n32));
   }
   node.compute_flops(static_cast<double>(layout.rows) * fft_flops(n));
 

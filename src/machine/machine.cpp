@@ -61,11 +61,15 @@ void Node::send_block(NodeId dst, std::int64_t bytes, std::int32_t tag) {
 
 void Node::send_block_data(NodeId dst, std::span<const std::byte> data,
                            std::int32_t tag) {
+  send_block_data(dst, std::vector<std::byte>(data.begin(), data.end()), tag);
+}
+
+void Node::send_block_data(NodeId dst, std::vector<std::byte>&& data,
+                           std::int32_t tag) {
+  const auto bytes = static_cast<std::int64_t>(data.size());
   handle_.advance(params_->send_overhead);
-  handle_.post_send(dst, tag, static_cast<std::int64_t>(data.size()),
-                    params_->wire_bytes(static_cast<std::int64_t>(data.size())),
-                    params_->net_latency,
-                    std::vector<std::byte>(data.begin(), data.end()));
+  handle_.post_send(dst, tag, bytes, params_->wire_bytes(bytes),
+                    params_->net_latency, std::move(data));
 }
 
 Message Node::receive_block(NodeId src, std::int32_t tag) {

@@ -20,15 +20,17 @@ std::int32_t log2_exact(std::int32_t n) {
 /// (size-only) messages, so each algorithm is written once. Outgoing and
 /// incoming storage are separate — an exchange receives into a slot
 /// before the matching send reads it, so in-place operation would send
-/// the freshly received data instead of the original.
+/// the freshly received data instead of the original. Each outgoing block
+/// is sent exactly once, so a send moves it out instead of copying it.
 struct Blocks {
   std::int64_t bytes = 0;  // uniform block size
-  const std::vector<std::vector<std::byte>>* out = nullptr;  // null => phantom
-  std::vector<std::vector<std::byte>>* in = nullptr;         // null => phantom
+  std::vector<std::vector<std::byte>>* out = nullptr;  // null => phantom
+  std::vector<std::vector<std::byte>>* in = nullptr;   // null => phantom
 
   void send(Node& node, NodeId peer, std::int32_t tag) const {
     if (out != nullptr) {
-      node.send_block_data(peer, (*out)[static_cast<std::size_t>(peer)], tag);
+      node.send_block_data(
+          peer, std::move((*out)[static_cast<std::size_t>(peer)]), tag);
     } else {
       node.send_block(peer, bytes, tag);
     }
@@ -138,7 +140,7 @@ void recursive_exchange_impl(Node& node, const Blocks& blocks) {
   for (NodeId d = 0; d < n; ++d) {
     if (d == self) continue;
     RexItem item{self, d,
-                 std::move((*blocks.in)[static_cast<std::size_t>(d)])};
+                 std::move((*blocks.out)[static_cast<std::size_t>(d)])};
     bag.push_back(std::move(item));
   }
 
@@ -178,7 +180,7 @@ void recursive_exchange_impl(Node& node, const Blocks& blocks) {
         buffer.insert(buffer.end(), raw, raw + sizeof header);
         buffer.insert(buffer.end(), item.payload.begin(), item.payload.end());
       }
-      node.send_block_data(peer, buffer, i);
+      node.send_block_data(peer, std::move(buffer), i);
     };
     auto recv_and_unpack = [&] {
       const machine::Message msg = node.receive_block(peer, i);
@@ -217,6 +219,25 @@ void recursive_exchange_impl(Node& node, const Blocks& blocks) {
   }
 }
 
+void run_exchange(Node& node, ExchangeAlgorithm algorithm,
+                  const Blocks& blocks) {
+  switch (algorithm) {
+    case ExchangeAlgorithm::Linear:
+      linear_exchange_impl(node, blocks);
+      return;
+    case ExchangeAlgorithm::Pairwise:
+      xor_exchange_impl(node, blocks, /*balanced=*/false);
+      return;
+    case ExchangeAlgorithm::Recursive:
+      recursive_exchange_impl(node, blocks);
+      return;
+    case ExchangeAlgorithm::Balanced:
+      xor_exchange_impl(node, blocks, /*balanced=*/true);
+      return;
+  }
+  CM5_CHECK_MSG(false, "unknown exchange algorithm");
+}
+
 }  // namespace
 
 const char* exchange_name(ExchangeAlgorithm algorithm) {
@@ -251,21 +272,7 @@ void run_recursive_exchange(Node& node, std::int64_t bytes) {
 
 void complete_exchange(Node& node, ExchangeAlgorithm algorithm,
                        std::int64_t bytes) {
-  switch (algorithm) {
-    case ExchangeAlgorithm::Linear:
-      run_linear_exchange(node, bytes);
-      return;
-    case ExchangeAlgorithm::Pairwise:
-      run_pairwise_exchange(node, bytes);
-      return;
-    case ExchangeAlgorithm::Recursive:
-      run_recursive_exchange(node, bytes);
-      return;
-    case ExchangeAlgorithm::Balanced:
-      run_balanced_exchange(node, bytes);
-      return;
-  }
-  CM5_CHECK_MSG(false, "unknown exchange algorithm");
+  run_exchange(node, algorithm, Blocks{bytes, nullptr, nullptr});
 }
 
 namespace {
@@ -344,26 +351,17 @@ void all_to_all(Node& node, ExchangeAlgorithm algorithm,
   }
   if (bytes < 0) bytes = 0;  // single-node machine
 
-  // Outgoing data is snapshotted: exchanges receive into `blocks` before
-  // their send reads the outgoing block (REX moves from `blocks` directly
-  // and ignores the snapshot).
-  const std::vector<std::vector<std::byte>> outgoing = blocks;
-  const Blocks access{bytes, &outgoing, &blocks};
-  switch (algorithm) {
-    case ExchangeAlgorithm::Linear:
-      linear_exchange_impl(node, access);
-      return;
-    case ExchangeAlgorithm::Pairwise:
-      xor_exchange_impl(node, access, /*balanced=*/false);
-      return;
-    case ExchangeAlgorithm::Recursive:
-      recursive_exchange_impl(node, access);
-      return;
-    case ExchangeAlgorithm::Balanced:
-      xor_exchange_impl(node, access, /*balanced=*/true);
-      return;
+  // Sends move each block out of `blocks`; receives land in `incoming`
+  // (REX takes its bag from `blocks` and delivers into `incoming` too).
+  // blocks[self] takes part in neither and is left as the caller set it.
+  std::vector<std::vector<std::byte>> incoming(static_cast<std::size_t>(n));
+  run_exchange(node, algorithm, Blocks{bytes, &blocks, &incoming});
+  for (NodeId d = 0; d < n; ++d) {
+    if (d != node.self()) {
+      blocks[static_cast<std::size_t>(d)] =
+          std::move(incoming[static_cast<std::size_t>(d)]);
+    }
   }
-  CM5_CHECK_MSG(false, "unknown exchange algorithm");
 }
 
 }  // namespace cm5::sched

@@ -1,6 +1,7 @@
 #include "cm5/sched/executor.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "cm5/util/check.hpp"
 
@@ -60,10 +61,10 @@ void execute_schedule(machine::Node& node, const CommSchedule& schedule,
 
   auto send_to = [&](NodeId peer, std::int64_t bytes, std::int32_t tag) {
     if (data != nullptr) {
-      const std::vector<std::byte> payload = data->out(peer);
+      std::vector<std::byte> payload = data->out(peer);
       CM5_CHECK_MSG(static_cast<std::int64_t>(payload.size()) == bytes,
                     "DataPlan produced a payload of the wrong size");
-      node.send_block_data(peer, payload, tag);
+      node.send_block_data(peer, std::move(payload), tag);
     } else {
       node.send_block(peer, bytes, tag);
     }

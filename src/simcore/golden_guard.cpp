@@ -5,6 +5,7 @@
 #include <string>
 
 #include "cm5/sim/exec_backend.hpp"
+#include "cm5/sim/kernel.hpp"
 
 namespace cm5::sim {
 namespace {
@@ -22,7 +23,7 @@ bool golden_regen_requested() {
   const char* reason = nullptr;
   if (default_execution_model() == ExecutionModel::kThreads) {
     reason = "CM5_EXEC_THREADS=1 selects the thread-oracle backend";
-  } else if (env_set("CM5_SOLVER_ORACLE")) {
+  } else if (solver_oracle_requested()) {
     reason = "CM5_SOLVER_ORACLE selects the reference rate solver";
   }
   if (reason != nullptr) {

@@ -14,6 +14,11 @@ std::size_t idx(NodeId id) { return static_cast<std::size_t>(id); }
 
 }  // namespace
 
+bool solver_oracle_requested() {
+  const char* v = std::getenv("CM5_SOLVER_ORACLE");
+  return v != nullptr && v[0] == '1' && v[1] == '\0';
+}
+
 // ---------------------------------------------------------------- NodeHandle
 
 std::int32_t NodeHandle::nprocs() const noexcept {
@@ -1021,8 +1026,7 @@ RunResult Kernel::run(const NodeProgram& program) {
   // CM5_SOLVER_ORACLE=1 swaps in the reference whole-network rate solver
   // for every run — a differential lever for bisecting any suspected
   // fast-path divergence without recompiling (see docs/PERF.md §2).
-  if (const char* mode = std::getenv("CM5_SOLVER_ORACLE");
-      mode != nullptr && mode[0] == '1' && mode[1] == '\0') {
+  if (solver_oracle_requested()) {
     fluid_->set_solver_mode(net::FluidNetwork::SolverMode::kOracle);
   }
   nodes_.assign(static_cast<std::size_t>(n), NodeState{});

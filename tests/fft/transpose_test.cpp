@@ -18,6 +18,9 @@ struct TransposeCase {
   sched::ExchangeAlgorithm algorithm;
   std::int32_t nprocs;
   std::int32_t n;
+  // gtest names each case after the bytes of this struct; a named zero
+  // member keeps bytes 12-15 from printing whatever the padding held.
+  std::int32_t zero = 0;
   std::int64_t elem_bytes;
 };
 
@@ -73,11 +76,16 @@ TEST_P(TransposeTest, MatchesSerialTranspose) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, TransposeTest,
     ::testing::Values(
-        TransposeCase{sched::ExchangeAlgorithm::Pairwise, 4, 16, 8},
-        TransposeCase{sched::ExchangeAlgorithm::Balanced, 8, 32, 8},
-        TransposeCase{sched::ExchangeAlgorithm::Recursive, 8, 16, 4},
-        TransposeCase{sched::ExchangeAlgorithm::Linear, 4, 8, 16},
-        TransposeCase{sched::ExchangeAlgorithm::Pairwise, 16, 32, 1}));
+        TransposeCase{.algorithm = sched::ExchangeAlgorithm::Pairwise,
+                      .nprocs = 4, .n = 16, .elem_bytes = 8},
+        TransposeCase{.algorithm = sched::ExchangeAlgorithm::Balanced,
+                      .nprocs = 8, .n = 32, .elem_bytes = 8},
+        TransposeCase{.algorithm = sched::ExchangeAlgorithm::Recursive,
+                      .nprocs = 8, .n = 16, .elem_bytes = 4},
+        TransposeCase{.algorithm = sched::ExchangeAlgorithm::Linear,
+                      .nprocs = 4, .n = 8, .elem_bytes = 16},
+        TransposeCase{.algorithm = sched::ExchangeAlgorithm::Pairwise,
+                      .nprocs = 16, .n = 32, .elem_bytes = 1}));
 
 TEST(TransposeTest, DoubleTransposeIsIdentity) {
   const std::int32_t nprocs = 8, n = 32;

@@ -35,8 +35,14 @@ TEST_P(AllToAllDataTest, EveryBlockArrivesFromItsSender) {
   Cm5Machine machine(MachineParams::cm5_defaults(c.nprocs));
   machine.run([&](Node& node) {
     // Block for destination d: bytes (self * 251 + d * 7 + k) mod 256.
+    // blocks[self] carries a marker of another length; all_to_all must
+    // leave it alone (fft2d_distributed reads its own block back).
     std::vector<std::vector<std::byte>> blocks(
         static_cast<std::size_t>(c.nprocs));
+    const std::vector<std::byte> marker(
+        static_cast<std::size_t>(c.bytes) + 3,
+        static_cast<std::byte>(0xA5 ^ node.self()));
+    blocks[static_cast<std::size_t>(node.self())] = marker;
     for (NodeId d = 0; d < c.nprocs; ++d) {
       if (d == node.self()) continue;
       auto& block = blocks[static_cast<std::size_t>(d)];
@@ -47,6 +53,8 @@ TEST_P(AllToAllDataTest, EveryBlockArrivesFromItsSender) {
       }
     }
     all_to_all(node, c.algorithm, blocks);
+    EXPECT_EQ(blocks[static_cast<std::size_t>(node.self())], marker)
+        << "node " << node.self() << " lost its own block";
     for (NodeId s = 0; s < c.nprocs; ++s) {
       if (s == node.self()) continue;
       const auto& block = blocks[static_cast<std::size_t>(s)];
@@ -70,6 +78,10 @@ std::vector<DataCase> data_cases() {
     }
     cases.push_back(DataCase{alg, 8, 1});    // single-byte blocks
     cases.push_back(DataCase{alg, 4, 1000}); // multi-packet blocks
+  }
+  for (ExchangeAlgorithm alg : kAllExchangeAlgorithms) {
+    cases.push_back(DataCase{alg, 1, 48});  // single node: nothing moves
+    cases.push_back(DataCase{alg, 8, 0});   // empty blocks
   }
   return cases;
 }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "cm5/sim/exec_backend.hpp"
+#include "cm5/sim/kernel.hpp"
 
 /// \file golden_guard_test.cpp
 /// The regeneration interlock: CM5_REGEN_GOLDEN must be honoured only
@@ -84,6 +85,18 @@ TEST_F(GoldenGuardTest, RefusesUnderSolverOracle) {
   ASSERT_EQ(::setenv("CM5_REGEN_GOLDEN", "1", 1), 0);
   ASSERT_EQ(::setenv("CM5_SOLVER_ORACLE", "1", 1), 0);
   EXPECT_THROW(golden_regen_requested(), std::runtime_error);
+}
+
+TEST_F(GoldenGuardTest, FollowsTheSolverTheRunUses) {
+  // Kernel::run selects the reference solver only for exactly "1"; the
+  // guard reads the same predicate, so "2" neither selects the oracle nor
+  // blocks regeneration.
+  ASSERT_EQ(::setenv("CM5_REGEN_GOLDEN", "1", 1), 0);
+  ASSERT_EQ(::setenv("CM5_SOLVER_ORACLE", "2", 1), 0);
+  EXPECT_FALSE(solver_oracle_requested());
+  EXPECT_TRUE(golden_regen_requested());
+  ASSERT_EQ(::setenv("CM5_SOLVER_ORACLE", "1", 1), 0);
+  EXPECT_TRUE(solver_oracle_requested());
 }
 
 TEST_F(GoldenGuardTest, RefusalNamesTheOffendingKnob) {
