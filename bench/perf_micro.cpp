@@ -36,16 +36,15 @@ void BM_RouteLookup(benchmark::State& state) {
 BENCHMARK(BM_RouteLookup)->Arg(32)->Arg(256);
 
 /// One small flow starting and completing against a standing population
-/// of long-lived flows. The oracle re-solves the whole network on every
-/// change. From 512 active flows the incremental solver re-solves only the
-/// sharing component the change touches, as long as no near-tie couples
-/// components (docs/PERF.md §2). Random flows on 256 nodes share links
-/// densely and form one giant component, so that case measures the
-/// whole-network path. With `rex_partners`, every flow runs between
-/// recursive-exchange partners at a low stage (src ^ 2^k, k < 6) of a
-/// 4096-node machine: background flow f leaves node 4f at stage f mod 6,
-/// the churning flow a random node at a random stage, so components stay
-/// inside 64-node subtrees.
+/// of long-lived flows; every change costs one whole-network re-solve on
+/// both solvers. The production solver keeps its flow and link lists
+/// across solves and touches only loaded links; the oracle rebuilds
+/// routes and capacities over every link from scratch (docs/PERF.md §2).
+/// Random flows on 256 nodes share links densely. With `rex_partners`,
+/// every flow runs between recursive-exchange partners at a low stage
+/// (src ^ 2^k, k < 6) of a 4096-node machine: background flow f leaves
+/// node 4f at stage f mod 6, the churning flow a random node at a random
+/// stage, so flows load few of the machine's many links.
 void churn(benchmark::State& state, net::FluidNetwork::SolverMode mode,
            std::int32_t nprocs, bool rex_partners) {
   const auto background = static_cast<std::int32_t>(state.range(0));
@@ -98,8 +97,7 @@ void BM_SolverChurnOracle(benchmark::State& state) {
 }
 BENCHMARK(BM_SolverChurnOracle)->Arg(64)->Arg(256)->Arg(1024);
 
-/// The same churn with local components; CI gates on the incremental /
-/// oracle time ratio of the two solvers here.
+/// The same churn on REX-partner flows of a 4096-node machine.
 void BM_SolverChurnStructured(benchmark::State& state) {
   churn(state,
         state.range(1) == 0 ? net::FluidNetwork::SolverMode::kIncremental

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "cm5/net/maxmin.hpp"
@@ -24,25 +23,24 @@
 ///   advance_to(t)       ->  progress all flows to time t, collect
 ///                           completions
 ///
-/// Rate re-solves are batched: starting k flows at the same instant costs
-/// one re-solve, which matters because the paper's algorithms launch whole
-/// steps of flows simultaneously.
+/// Rate re-solves are lazy: a flow start, a completion batch or a
+/// capacity change only marks the rates stale, and they are re-solved
+/// when next_event(), advance_to() or a later time needs them. Starting k
+/// flows at the same instant therefore costs one re-solve as long as the
+/// owner does not query next_event() between the starts; the kernel
+/// skips that query while a flow start at the network's now() is pending
+/// (Kernel::schedule_next, docs/MODEL.md §2). This matters because the
+/// paper's algorithms launch whole steps of flows simultaneously.
 ///
 /// Two performance-critical structures back this API (see docs/PERF.md):
 ///
-/// * An *incremental* max-min solver. Re-solves only happen when a flow
-///   start/finish or a link-fault capacity change dirties a link, and the
-///   solve reuses state built once per flow: the flow→link adjacency, a
-///   FlowId-ordered active list maintained across solves, and stamp-based
-///   link sets, so it touches only links that carry traffic and allocates
-///   nothing once warm. Flows are processed in FlowId order so the
-///   arithmetic matches the seed whole-network solve exactly; that solve
-///   is retained behind SolverMode::kOracle as a differential-testing
-///   reference. While many flows are active the solve is further
-///   restricted to the connected component of the flow/link sharing graph
-///   that the dirtied links reach, under a guard that keeps it
-///   bit-identical to the whole-network solve and falls back to it when a
-///   near-tie could couple components (see resolve_incremental).
+/// * A whole-network max-min solver over persistent state: the
+///   flow→link adjacency, a FlowId-ordered active list and a list of the
+///   links that carry traffic, all maintained across solves, so a solve
+///   touches only loaded links and allocates nothing once warm. Flows are
+///   processed in FlowId order so the arithmetic matches the seed
+///   solve_max_min exactly; that solve is retained behind
+///   SolverMode::kOracle as a differential-testing reference.
 ///
 /// * A lazy min-heap of projected completion times, so next_event() is a
 ///   heap peek instead of a scan over every active flow. Entries are
@@ -74,9 +72,8 @@ struct NetworkStats {
   std::int64_t flows_completed = 0;
   /// Number of max-min re-solves performed (a cost/behaviour metric).
   std::int64_t rate_solves = 0;
-  /// Flows re-frozen by progressive filling, summed over all solves: the
-  /// active count for a whole-network solve, the component size for a
-  /// restricted one (plus the active count when its guard falls back).
+  /// Flows re-frozen by progressive filling, summed over all solves (each
+  /// solve re-freezes every active flow).
   std::int64_t flows_refrozen = 0;
   /// Number of completion-heap pops (stale-entry discards included) — a
   /// cost metric for the event-lookup path, reported in bench perf JSON.
@@ -110,6 +107,10 @@ class FluidNetwork {
 
   /// Number of currently active flows.
   std::size_t active_flows() const noexcept { return active_count_; }
+
+  /// Time of the latest start/advance/capacity change. next_event() never
+  /// returns an earlier time, and a new flow may not start before it.
+  util::SimTime now() const noexcept { return now_; }
 
   /// Scales the capacity of one link to `scale` x its topology capacity,
   /// effective from time `now` (fluid state up to `now` progresses at the
@@ -171,27 +172,15 @@ class FluidNetwork {
   }
 
   void resolve_rates();
-  void resolve_incremental();
   void resolve_oracle();
+  /// The production solve: every active flow over every live link.
+  void solve_all();
   /// Progressive filling of the flows queued in fill_flows_ (slots, in
-  /// FlowId order) over the live links they use. When `guarded`, returns
-  /// false if a round saw a link share strictly inside (share, share *
-  /// kFreezeTolerance], and until then records round shares in
-  /// fill_levels_.
-  bool fill(std::span<const LinkId> links, bool guarded);
-  void solve_all(bool guarded);
-  /// Re-solves the dirtied links' sharing component alone; commits and
-  /// returns true only if the guard proves solve_all would agree.
-  bool solve_component();
-  /// Builds (or drops) the guard state: link→flow lists, level table.
-  void set_guarded(bool on);
-  /// Drops links whose flows all retired from live_links_.
+  /// FlowId order) over live_links_.
+  void fill();
+  /// Drops links whose flows all retired from live_links_ and zeroes
+  /// their load.
   void sweep_live_links();
-  void level_add(double rate);
-  void level_remove(double rate);
-  /// True if a held rate r != m satisfies r < m <= r * kFreezeTolerance
-  /// or m < r <= m * kFreezeTolerance.
-  bool level_near(double m) const;
   /// Recomputes a slot's projected completion and (if it changed) pushes
   /// a fresh heap entry, invalidating the old one via the epoch.
   void refresh_heap_entry(std::uint32_t si);
@@ -199,9 +188,7 @@ class FluidNetwork {
   /// by more than a constant factor.
   void compact_heap();
   bool heap_entry_valid(const HeapEntry& e) const;
-  /// Marks a link's rates as needing a re-solve.
-  void mark_dirty(LinkId l);
-  /// Frees a completed flow's slot and dirties the links it occupied.
+  /// Frees a completed flow's slot and drops it from its links' counts.
   void retire_slot(std::uint32_t si);
   /// Moves fluid state (bytes + busy accounting) forward to time t.
   void progress_to(util::SimTime t);
@@ -215,25 +202,18 @@ class FluidNetwork {
   std::vector<std::int32_t> flows_on_link_;
   /// Links with at least one live flow, each listed once (link_listed_).
   /// Appended on a 0→1 count transition; entries whose count dropped back
-  /// to 0 stay (with zero load) until a whole-network solve sweeps them.
+  /// to 0 stay until the next solve sweeps them (and zeroes their load).
   std::vector<LinkId> live_links_;
   std::vector<std::uint8_t> link_listed_;
   std::vector<double> link_load_;  // bytes/s per link at current rates
   std::vector<double> capacity_scale_;  // degradation multipliers (1 = healthy)
 
-  /// Links whose flow set or capacity changed since the last re-solve.
-  std::vector<LinkId> dirty_links_;
-  std::vector<std::uint8_t> link_dirty_;
-
   /// Completion-time min-heap (std::push_heap/pop_heap on a vector so
   /// compact_heap can filter in place).
   std::vector<HeapEntry> heap_;
 
-  /// Scratch for the incremental solver (persist across calls so a solve
-  /// allocates nothing once warm). Stamp arrays implement O(1) "seen"
-  /// sets without clearing.
-  std::vector<std::uint64_t> link_stamp_;
-  std::uint64_t stamp_gen_ = 0;
+  /// Scratch for the production solver (persist across calls so a solve
+  /// allocates nothing once warm).
   std::vector<double> residual_;
   std::vector<std::int32_t> active_on_link_;
   std::vector<double> link_share_;  // residual/active, +inf when inactive
@@ -243,25 +223,9 @@ class FluidNetwork {
   std::vector<double> fill_shares_;
   std::vector<std::uint32_t> link_pos_;
   std::vector<std::uint32_t> fill_flows_;  // per-round unfrozen worklist
-  std::vector<double> fill_levels_;  // round shares of a guarded fill
   /// Flows whose rate changed bits in the current solve — the only ones
   /// whose heap projections need refreshing afterwards.
   std::vector<std::uint32_t> changed_slots_;
-
-  /// Guard state, kept only while the active set is large (empty
-  /// link_flows_ means unguarded): the flows on each link, the active
-  /// flows' distinct rates with multiplicities in ascending order (empty
-  /// until a restricted solve needs it), and whether the last
-  /// whole-network solve was free of band events.
-  std::vector<std::vector<std::uint32_t>> link_flows_;
-  std::vector<std::pair<double, std::int32_t>> levels_;
-  bool decoupled_ = false;
-  /// solve_component scratch: the component's flows (FlowId order), their
-  /// pre-solve rates, its links, and per-slot visit stamps.
-  std::vector<std::uint32_t> comp_flows_;
-  std::vector<double> comp_rates_;
-  std::vector<LinkId> comp_links_;
-  std::vector<std::uint64_t> slot_stamp_;
 
   /// Scratch for next_event's reprojection window: slots popped near the
   /// heap top whose times are recomputed fresh before being re-pushed.
@@ -270,7 +234,7 @@ class FluidNetwork {
   /// Active flows in FlowId order (ids are monotonic, so push_back keeps
   /// the order). Entries for retired flows — recognisable because the
   /// slot was freed or reused under a new id — are swept out lazily at
-  /// the start of each incremental solve.
+  /// the start of each solve_all.
   struct ActiveRef {
     FlowId id;
     std::uint32_t slot;

@@ -45,12 +45,6 @@
 
 namespace cm5::sim {
 
-/// True when CM5_SOLVER_ORACLE is exactly "1": every Kernel::run then
-/// uses the reference whole-network rate solver. Any other value, empty
-/// or unset leaves the default solver. The golden-regeneration guard
-/// reads the same predicate, so it refuses exactly the runs this selects.
-bool solver_oracle_requested();
-
 /// Thrown from every blocked node when the simulation can no longer make
 /// progress (all nodes blocked, no events pending).
 class DeadlockError : public std::runtime_error {

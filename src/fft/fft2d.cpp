@@ -93,8 +93,9 @@ void fft2d_distributed(Node& node, ExchangeAlgorithm algorithm,
 
   // Unpack: after the exchange, block from source s holds — for each of
   // my R columns c — the s-th span of that column (rows s*R..s*R+R).
-  // Assemble my columns as rows of a R x n matrix.
-  std::vector<Complex> columns(r32 * n32);
+  // Assemble my columns as rows of a R x n matrix, in the slab's own
+  // storage: the packed blocks already hold everything it held.
+  std::vector<Complex>& columns = local_rows;
   for (std::int32_t s = 0; s < layout.nprocs; ++s) {
     const auto& block = blocks[static_cast<std::size_t>(s)];
     CM5_CHECK(block.size() == static_cast<std::size_t>(layout.block_bytes));
@@ -112,8 +113,6 @@ void fft2d_distributed(Node& node, ExchangeAlgorithm algorithm,
     plan.run(std::span(columns).subspan(c * n32, n32));
   }
   node.compute_flops(static_cast<double>(layout.rows) * fft_flops(n));
-
-  local_rows = std::move(columns);
 }
 
 }  // namespace cm5::fft

@@ -29,10 +29,6 @@ constexpr util::SimTime kProjectionSlackNs = 2;
 /// `s` if one of its links has a fair share <= s * kFreezeTolerance.
 constexpr double kFreezeTolerance = 1.0 + 1e-12;
 
-/// Active flows from which solves are restricted under the guard; below
-/// it the guard's bookkeeping costs more than it saves.
-constexpr std::size_t kGuardMinFlows = 512;
-
 }  // namespace
 
 FluidNetwork::FluidNetwork(const FatTreeTopology& topo) : topo_(topo) {
@@ -43,8 +39,6 @@ FluidNetwork::FluidNetwork(const FatTreeTopology& topo) : topo_(topo) {
   link_load_.assign(num_links, 0.0);
   capacity_scale_.assign(num_links, 1.0);
   flows_on_link_.assign(num_links, 0);
-  link_dirty_.assign(num_links, 0);
-  link_stamp_.assign(num_links, 0);
   residual_.assign(num_links, 0.0);
   active_on_link_.assign(num_links, 0);
   link_share_.assign(num_links, 0.0);
@@ -54,18 +48,11 @@ FluidNetwork::FluidNetwork(const FatTreeTopology& topo) : topo_(topo) {
 
 void FluidNetwork::set_solver_mode(SolverMode mode) {
   // A pending re-solve with no active flows is harmless (both solvers
-  // just zero the dirty links' loads), so idle == no active flows.
+  // just zero the loads of links whose flows retired), so idle == no
+  // active flows.
   CM5_CHECK_MSG(active_count_ == 0,
                 "solver mode can only change while the network is idle");
   solver_mode_ = mode;
-}
-
-void FluidNetwork::mark_dirty(LinkId l) {
-  auto& flag = link_dirty_[static_cast<std::size_t>(l)];
-  if (!flag) {
-    flag = 1;
-    dirty_links_.push_back(l);
-  }
 }
 
 void FluidNetwork::set_link_capacity_scale(util::SimTime now, LinkId link,
@@ -76,7 +63,6 @@ void FluidNetwork::set_link_capacity_scale(util::SimTime now, LinkId link,
   if (rates_dirty_) resolve_rates();
   progress_to(now);
   capacity_scale_[static_cast<std::size_t>(link)] = scale;
-  mark_dirty(link);
   rates_dirty_ = true;
 }
 
@@ -151,15 +137,10 @@ FlowId FluidNetwork::start_flow(util::SimTime now, NodeId src, NodeId dst,
       link_listed_[li] = 1;
       live_links_.push_back(l);
     }
-    mark_dirty(l);
     stats_.bytes_by_link[static_cast<std::size_t>(l)] += wire_bytes;
     stats_.bytes_by_level[static_cast<std::size_t>(topo_.link_level(l))] +=
         wire_bytes;
-    if (!link_flows_.empty()) {
-      link_flows_[static_cast<std::size_t>(l)].push_back(si);
-    }
   }
-  if (!levels_.empty()) level_add(f.rate);
   return id;
 }
 
@@ -204,72 +185,31 @@ void FluidNetwork::resolve_rates() {
   if (solver_mode_ == SolverMode::kOracle) {
     resolve_oracle();
   } else {
-    resolve_incremental();
+    solve_all();
   }
-  for (LinkId l : dirty_links_) link_dirty_[static_cast<std::size_t>(l)] = 0;
-  dirty_links_.clear();
   compact_heap();
   rates_dirty_ = false;
   ++stats_.rate_solves;
 }
 
-void FluidNetwork::resolve_incremental() {
-  // Progressive filling runs in rounds, each freezing the flows with a
-  // link within kFreezeTolerance of the global minimum share. Components
-  // of the flow/link sharing graph interact only through that tolerance:
-  // a flow of one component freezes in another's round only if one of its
-  // links lies strictly inside the band (share, tol]. Without such a band
-  // event the global rounds are the merge of each component's own rounds
-  // (exact ties freeze the same flows either way), so the components the
-  // dirtied links reach can be re-solved alone. A component's pending
-  // round shares are rates its flows end up holding, so a band event
-  // across the boundary shows up as a new round share near a rate held
-  // by an untouched flow. The restricted result is kept only if its rounds
-  // saw no band event, no new round share is near an untouched rate, and
-  // the last whole-network solve was band-free (so untouched rates are
-  // their components' own solutions); otherwise the same fill re-solves
-  // the whole network. docs/PERF.md §2 has the full argument.
-  changed_slots_.clear();
-  const bool guarded = active_count_ >= kGuardMinFlows;
-  if (guarded == link_flows_.empty()) set_guarded(guarded);
-  if (!guarded || !decoupled_ || !solve_component()) solve_all(guarded);
-  // Refresh projections only for flows whose rate actually changed bits.
-  // A flow whose rate is bit-unchanged progressed linearly at that rate
-  // since its entry was pushed, so the cached projection still describes
-  // the same real-valued completion instant and stays within
-  // kProjectionSlackNs of a fresh one — exactly the invariant
-  // next_event()'s reprojection window is built on.
-  for (const std::uint32_t si : changed_slots_) refresh_heap_entry(si);
-}
-
-void FluidNetwork::set_guarded(bool on) {
-  link_flows_.assign(on ? static_cast<std::size_t>(topo_.num_links()) : 0, {});
-  levels_.clear();
-  decoupled_ = false;  // the current rates were not solved under the guard
-  for (std::uint32_t si = 0; on && si < slots_.size(); ++si) {
-    if (!slots_[si].live) continue;
-    for (LinkId l : slots_[si].route()) {
-      link_flows_[static_cast<std::size_t>(l)].push_back(si);
-    }
-  }
-}
-
 void FluidNetwork::sweep_live_links() {
-  // Drop links whose flows have all retired: a whole-network fill needs
-  // exactly the links that carry traffic.
+  // Drop links whose flows have all retired: the fill needs exactly the
+  // links that carry traffic, and a dropped link carries no load.
   std::erase_if(live_links_, [this](LinkId l) {
     const auto li = static_cast<std::size_t>(l);
     if (flows_on_link_[li] != 0) return false;
     link_listed_[li] = 0;
+    link_load_[li] = 0.0;
     return true;
   });
 }
 
-void FluidNetwork::solve_all(bool guarded) {
+void FluidNetwork::solve_all() {
   // Sweep the active list: drop retired entries (freed or reused slots)
   // in place. FlowIds are monotonic and the sweep is stable, so the list
   // stays in FlowId order — the order the reference solve processes
   // flows in.
+  changed_slots_.clear();
   std::size_t live_count = 0;
   fill_flows_.clear();
   for (const ActiveRef ref : active_order_) {
@@ -280,14 +220,10 @@ void FluidNetwork::solve_all(bool guarded) {
   }
   active_order_.resize(live_count);
   sweep_live_links();
-  const bool band_free = fill(live_links_, guarded);
+  fill();
 
-  // Rebuild link loads, in FlowId order so the partial sums match a
-  // whole-network rebuild. Dirtied links not on any active route (for
-  // example a link whose last flow just retired) must drop to zero.
-  for (LinkId l : dirty_links_) {
-    link_load_[static_cast<std::size_t>(l)] = 0.0;
-  }
+  // Rebuild link loads in FlowId order, so the partial sums match the
+  // reference solve's.
   for (LinkId l : live_links_) {
     link_load_[static_cast<std::size_t>(l)] = 0.0;
   }
@@ -297,95 +233,17 @@ void FluidNetwork::solve_all(bool guarded) {
       link_load_[static_cast<std::size_t>(l)] += f.rate;
     }
   }
-  decoupled_ = guarded && band_free;
-  levels_.clear();  // rebuilt when a restricted solve next needs it
+  // Refresh projections only for flows whose rate actually changed bits.
+  // A flow whose rate is bit-unchanged progressed linearly at that rate
+  // since its entry was pushed, so the cached projection still describes
+  // the same real-valued completion instant and stays within
+  // kProjectionSlackNs of a fresh one — exactly the invariant
+  // next_event()'s reprojection window is built on.
+  for (const std::uint32_t si : changed_slots_) refresh_heap_entry(si);
 }
 
-bool FluidNetwork::solve_component() {
-  // Collect the component breadth-first from the dirtied links: every
-  // flow on a reached link joins, and so does every link on its route.
-  const std::uint64_t gen = ++stamp_gen_;
-  slot_stamp_.resize(slots_.size(), 0);
-  comp_links_.clear();
-  comp_flows_.clear();
-  for (const LinkId l : dirty_links_) {
-    const auto li = static_cast<std::size_t>(l);
-    if (flows_on_link_[li] == 0 || link_stamp_[li] == gen) continue;
-    link_stamp_[li] = gen;
-    comp_links_.push_back(l);
-  }
-  for (std::size_t i = 0; i < comp_links_.size(); ++i) {
-    for (const std::uint32_t si :
-         link_flows_[static_cast<std::size_t>(comp_links_[i])]) {
-      if (slot_stamp_[si] == gen) continue;
-      slot_stamp_[si] = gen;
-      comp_flows_.push_back(si);
-      // A component this large is cheaper to solve with everything else.
-      if (2 * comp_flows_.size() > active_count_) return false;
-      for (const LinkId l : slots_[si].route()) {
-        const auto li = static_cast<std::size_t>(l);
-        if (link_stamp_[li] == gen) continue;
-        link_stamp_[li] = gen;
-        comp_links_.push_back(l);
-      }
-    }
-  }
-  std::sort(comp_flows_.begin(), comp_flows_.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              return slots_[a].id < slots_[b].id;
-            });
-
-  // Leave only untouched flows' rates in the level table, and keep the
-  // component's rates to undo a rejected attempt.
-  if (levels_.empty()) {
-    for (const Slot& f : slots_) {
-      if (f.live) level_add(f.rate);
-    }
-  }
-  comp_rates_.clear();
-  for (const std::uint32_t si : comp_flows_) {
-    comp_rates_.push_back(slots_[si].rate);
-    level_remove(slots_[si].rate);
-  }
-  fill_flows_.assign(comp_flows_.begin(), comp_flows_.end());
-  bool exact = fill(comp_links_, /*guarded=*/true);
-  for (const double m : fill_levels_) exact = exact && !level_near(m);
-  if (!exact) {
-    for (std::size_t i = 0; i < comp_flows_.size(); ++i) {
-      slots_[comp_flows_[i]].rate = comp_rates_[i];
-    }
-    changed_slots_.clear();
-    return false;
-  }
-
-  // The component's links carry only its flows: rebuild their loads in
-  // FlowId order, as solve_all does; all other loads are unchanged.
-  for (LinkId l : dirty_links_) {
-    link_load_[static_cast<std::size_t>(l)] = 0.0;
-  }
-  for (LinkId l : comp_links_) {
-    link_load_[static_cast<std::size_t>(l)] = 0.0;
-  }
-  for (const std::uint32_t si : comp_flows_) {
-    const Slot& f = slots_[si];
-    for (LinkId l : f.route()) {
-      link_load_[static_cast<std::size_t>(l)] += f.rate;
-    }
-    level_add(f.rate);
-  }
-  // Only solve_all reads the active list; keep it proportional to the
-  // active set.
-  if (active_order_.size() > 2 * active_count_) {
-    std::erase_if(active_order_, [this](const ActiveRef ref) {
-      return !slots_[ref.slot].live || slots_[ref.slot].id != ref.id;
-    });
-  }
-  return true;
-}
-
-bool FluidNetwork::fill(std::span<const LinkId> links, bool guarded) {
+void FluidNetwork::fill() {
   stats_.flows_refrozen += static_cast<std::int64_t>(fill_flows_.size());
-  fill_levels_.clear();
   // link_share_ caches residual/active for every link that still has
   // unfrozen flows, updated with the reference algorithm's exact
   // expression on every mutation, so both the min-scan and the per-flow
@@ -396,17 +254,16 @@ bool FluidNetwork::fill(std::span<const LinkId> links, bool guarded) {
   // kept in sync through link_pos_ — so the per-round min-scan is a
   // straight (vectorizable) sweep over a contiguous double array instead
   // of a gather through the link-indexed tables.
-  const std::size_t num_links = links.size();
+  const std::size_t num_links = live_links_.size();
   fill_shares_.resize(num_links);
   for (std::size_t i = 0; i < num_links; ++i) {
-    const auto li = static_cast<std::size_t>(links[i]);
-    residual_[li] = topo_.link(links[i]).capacity * capacity_scale_[li];
+    const auto li = static_cast<std::size_t>(live_links_[i]);
+    residual_[li] = topo_.link(live_links_[i]).capacity * capacity_scale_[li];
     active_on_link_[li] = flows_on_link_[li];
     link_share_[li] = residual_[li] / active_on_link_[li];
     fill_shares_[i] = link_share_[li];
     link_pos_[li] = static_cast<std::uint32_t>(i);
   }
-  bool band_free = true;
   std::size_t unfrozen = fill_flows_.size();
   while (unfrozen > 0) {
     // Most constrained link: minimum fair share among links with traffic.
@@ -429,12 +286,6 @@ bool FluidNetwork::fill(std::span<const LinkId> links, bool guarded) {
                   "unfrozen flow with no active link");
     if (share < 0.0) share = 0.0;  // guard against FP round-down of residuals
     const double tol = share * kFreezeTolerance;
-    if (guarded && band_free) {  // one band event settles the answer
-      fill_levels_.push_back(share);
-      for (const double s : fill_shares_) {
-        band_free = band_free && !(s > share && s <= tol);
-      }
-    }
 
     // Freeze every flow whose path touches a link at exactly this share.
     // The scan is sequential by construction — an earlier freeze in the
@@ -476,34 +327,6 @@ bool FluidNetwork::fill(std::span<const LinkId> links, bool guarded) {
     unfrozen = wf;
     CM5_CHECK_MSG(froze_any, "progressive filling failed to make progress");
   }
-  return band_free;
-}
-
-void FluidNetwork::level_add(double rate) {
-  const auto it =
-      std::lower_bound(levels_.begin(), levels_.end(), std::pair{rate, 0});
-  if (it != levels_.end() && it->first == rate) {
-    ++it->second;
-  } else {
-    levels_.insert(it, {rate, 1});
-  }
-}
-
-void FluidNetwork::level_remove(double rate) {
-  const auto it =
-      std::lower_bound(levels_.begin(), levels_.end(), std::pair{rate, 0});
-  CM5_CHECK_MSG(it != levels_.end() && it->first == rate,
-                "level table out of sync with flow rates");
-  if (--it->second == 0) levels_.erase(it);
-}
-
-bool FluidNetwork::level_near(double m) const {
-  auto it = std::lower_bound(levels_.begin(), levels_.end(), std::pair{m, 0});
-  if (it != levels_.begin() && m <= std::prev(it)->first * kFreezeTolerance) {
-    return true;
-  }
-  if (it != levels_.end() && it->first == m) ++it;
-  return it != levels_.end() && it->first <= m * kFreezeTolerance;
 }
 
 void FluidNetwork::resolve_oracle() {
@@ -622,14 +445,7 @@ void FluidNetwork::retire_slot(std::uint32_t si) {
   Slot& f = slots_[si];
   for (LinkId l : f.route()) {
     --flows_on_link_[static_cast<std::size_t>(l)];
-    mark_dirty(l);
-    if (!link_flows_.empty()) {
-      auto& on_link = link_flows_[static_cast<std::size_t>(l)];
-      *std::find(on_link.begin(), on_link.end(), si) = on_link.back();
-      on_link.pop_back();
-    }
   }
-  if (!levels_.empty()) level_remove(f.rate);
   f.live = false;
   ++f.epoch;  // invalidate any outstanding heap entry
   f.heap_time = kNoHeapEntry;

@@ -2,10 +2,8 @@
 
 #include <cstdlib>
 #include <stdexcept>
-#include <string>
 
 #include "cm5/sim/exec_backend.hpp"
-#include "cm5/sim/kernel.hpp"
 
 namespace cm5::sim {
 namespace {
@@ -20,17 +18,11 @@ bool env_set(const char* name) {
 bool golden_regen_requested() {
   if (!env_set("CM5_REGEN_GOLDEN")) return false;
 
-  const char* reason = nullptr;
   if (default_execution_model() == ExecutionModel::kThreads) {
-    reason = "CM5_EXEC_THREADS=1 selects the thread-oracle backend";
-  } else if (solver_oracle_requested()) {
-    reason = "CM5_SOLVER_ORACLE selects the reference rate solver";
-  }
-  if (reason != nullptr) {
     throw std::runtime_error(
-        std::string("CM5_REGEN_GOLDEN refused: ") + reason +
-        "; goldens must be regenerated under the default configuration "
-        "(unset CM5_EXEC_THREADS/CM5_SOLVER_ORACLE)");
+        "CM5_REGEN_GOLDEN refused: CM5_EXEC_THREADS=1 selects the "
+        "thread-oracle backend; goldens must be regenerated under the "
+        "default configuration (unset CM5_EXEC_THREADS)");
   }
   return true;
 }

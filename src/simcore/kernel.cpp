@@ -1,7 +1,6 @@
 #include "cm5/sim/kernel.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
 #include "cm5/util/check.hpp"
@@ -13,11 +12,6 @@ namespace {
 std::size_t idx(NodeId id) { return static_cast<std::size_t>(id); }
 
 }  // namespace
-
-bool solver_oracle_requested() {
-  const char* v = std::getenv("CM5_SOLVER_ORACLE");
-  return v != nullptr && v[0] == '1' && v[1] == '\0';
-}
 
 // ---------------------------------------------------------------- NodeHandle
 
@@ -696,7 +690,15 @@ void Kernel::schedule_next(std::unique_lock<std::mutex>& lock) {
       }
     };
     if (!event_queue_.empty()) consider(event_queue_.top().time, 0);
-    if (const auto fc = fluid_->next_event()) consider(*fc, 1);
+    // Skip the fluid query while a flow start at or before the network's
+    // now() is pending: next_event() never returns a time before now(),
+    // and flow starts win ties, so that start runs next either way. The
+    // query would only re-solve the rates for a flow set the start is
+    // about to change, so the k flows a step starts at one instant cost
+    // one rate solve, made when time next has to advance.
+    if (event_queue_.empty() || event_queue_.top().time > fluid_->now()) {
+      if (const auto fc = fluid_->next_event()) consider(*fc, 1);
+    }
     if (fault_cursor_ < fault_timeline_.size()) {
       consider(fault_timeline_[fault_cursor_].time, 2);
     }
@@ -1023,12 +1025,6 @@ RunResult Kernel::run(const NodeProgram& program) {
   CM5_CHECK(n >= 1);
 
   fluid_ = std::make_unique<net::FluidNetwork>(topo_);
-  // CM5_SOLVER_ORACLE=1 swaps in the reference whole-network rate solver
-  // for every run — a differential lever for bisecting any suspected
-  // fast-path divergence without recompiling (see docs/PERF.md §2).
-  if (solver_oracle_requested()) {
-    fluid_->set_solver_mode(net::FluidNetwork::SolverMode::kOracle);
-  }
   nodes_.assign(static_cast<std::size_t>(n), NodeState{});
   send_queues_.assign(static_cast<std::size_t>(n), {});
   pending_swaps_.clear();

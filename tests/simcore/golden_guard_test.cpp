@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "cm5/sim/exec_backend.hpp"
-#include "cm5/sim/kernel.hpp"
 
 /// \file golden_guard_test.cpp
 /// The regeneration interlock: CM5_REGEN_GOLDEN must be honoured only
@@ -22,8 +21,7 @@
 namespace cm5::sim {
 namespace {
 
-const char* const kKnobs[] = {"CM5_REGEN_GOLDEN", "CM5_EXEC_THREADS",
-                              "CM5_SOLVER_ORACLE"};
+const char* const kKnobs[] = {"CM5_REGEN_GOLDEN", "CM5_EXEC_THREADS"};
 
 /// Clears every knob the guard reads for the test body, then restores
 /// the ambient values (a CI row's configuration must survive this test
@@ -81,34 +79,16 @@ TEST_F(GoldenGuardTest, FollowsTheBackendTheRunUses) {
   }
 }
 
-TEST_F(GoldenGuardTest, RefusesUnderSolverOracle) {
-  ASSERT_EQ(::setenv("CM5_REGEN_GOLDEN", "1", 1), 0);
-  ASSERT_EQ(::setenv("CM5_SOLVER_ORACLE", "1", 1), 0);
-  EXPECT_THROW(golden_regen_requested(), std::runtime_error);
-}
-
-TEST_F(GoldenGuardTest, FollowsTheSolverTheRunUses) {
-  // Kernel::run selects the reference solver only for exactly "1"; the
-  // guard reads the same predicate, so "2" neither selects the oracle nor
-  // blocks regeneration.
-  ASSERT_EQ(::setenv("CM5_REGEN_GOLDEN", "1", 1), 0);
-  ASSERT_EQ(::setenv("CM5_SOLVER_ORACLE", "2", 1), 0);
-  EXPECT_FALSE(solver_oracle_requested());
-  EXPECT_TRUE(golden_regen_requested());
-  ASSERT_EQ(::setenv("CM5_SOLVER_ORACLE", "1", 1), 0);
-  EXPECT_TRUE(solver_oracle_requested());
-}
-
 TEST_F(GoldenGuardTest, RefusalNamesTheOffendingKnob) {
   // The error must tell the operator *which* knob blocked regeneration —
   // "regen refused" with no reason is a debugging session.
   ASSERT_EQ(::setenv("CM5_REGEN_GOLDEN", "1", 1), 0);
-  ASSERT_EQ(::setenv("CM5_SOLVER_ORACLE", "1", 1), 0);
+  ASSERT_EQ(::setenv("CM5_EXEC_THREADS", "1", 1), 0);
   try {
     golden_regen_requested();
-    FAIL() << "expected the guard to throw under CM5_SOLVER_ORACLE=1";
+    FAIL() << "expected the guard to throw under CM5_EXEC_THREADS=1";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("CM5_SOLVER_ORACLE"),
+    EXPECT_NE(std::string(e.what()).find("CM5_EXEC_THREADS"),
               std::string::npos)
         << "actual message: " << e.what();
   }

@@ -349,6 +349,32 @@ TEST(KernelTest, DeterministicAcrossRepeatedRuns) {
   EXPECT_EQ(a.network.rate_solves, b.network.rate_solves);
 }
 
+TEST(KernelTest, FlowStartsAtOneInstantCostOneRateSolve) {
+  // Every node sends to its pair partner (id ^ 1) at time 0 with a 5 us
+  // latency, so all 16 flows start at 5 us, after every node has posted.
+  // Partners share a leaf switch, so every flow has its own injection and
+  // ejection link and runs at full link rate; pair k sends (k + 1) ms
+  // worth of bytes, so the pairs complete in 8 separate batches. The
+  // kernel solves the rates once for the 16 starts, then once after each
+  // batch but the last, which leaves no flow to solve for.
+  constexpr std::int32_t kNodes = 16;
+  constexpr std::int64_t kBatches = kNodes / 2;
+  auto topo = make_topo(kNodes);
+  Kernel kernel(topo);
+  const RunResult r = kernel.run([](NodeHandle& h) {
+    const NodeId peer = h.id() ^ 1;
+    const std::int64_t bytes = 20000 * (1 + h.id() / 2);  // 1 ms per 20 kB
+    h.post_send_async(peer, 0, bytes, bytes, from_us(5), {});
+    (void)h.post_receive(peer, kAnyTag);
+  });
+  for (NodeId n = 0; n < kNodes; ++n) {
+    EXPECT_EQ(r.finish_time[static_cast<std::size_t>(n)],
+              from_us(5) + util::from_ms(1 + n / 2));
+  }
+  EXPECT_EQ(r.network.flows_started, kNodes);
+  EXPECT_EQ(r.network.rate_solves, 1 + (kBatches - 1));
+}
+
 TEST(KernelTest, CountersTrackTraffic) {
   auto topo = make_topo(4);
   Kernel kernel(topo);
