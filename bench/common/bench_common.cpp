@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <utility>
 
 #include "cm5/util/parallel.hpp"
@@ -18,6 +17,20 @@ double wall_now_ms() {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// Copies one observed run into a Measured cell.
+Measured measured(machine::ObservedRun run, double wall_ms) {
+  Measured out;
+  out.wall_ms = wall_ms;
+  out.makespan = run.result.makespan;
+  out.rate_solves = run.result.network.rate_solves;
+  out.flows_refrozen = run.result.network.flows_refrozen;
+  out.heap_pops = run.result.network.heap_pops;
+  out.context_switches = run.result.context_switches;
+  out.metrics = std::move(run.metrics);
+  out.violations = std::move(run.violations);
+  return out;
 }
 
 }  // namespace
@@ -35,40 +48,9 @@ void print_banner(const std::string& artifact, const std::string& what) {
 Measured measure_program(const machine::MachineParams& params,
                          const machine::Program& program) {
   machine::Cm5Machine m(params);
-  Measured out;
-  sim::TraceRecorder recorder;
-  // CM5_TRACE_STREAM: analyze/validate incrementally as events commit
-  // and retain nothing, so peak memory stays O(state) instead of O(E).
-  // Either way the resulting cells are byte-identical (the streaming
-  // consumers match the batch path exactly; tests/integration fuzzes
-  // the equivalence).
-  std::optional<sim::MetricsBuilder> builder;
-  std::optional<sim::TraceValidator> validator;
-  const bool streaming = sim::trace_stream_requested();
-  if (streaming) {
-    builder.emplace(params.tree.num_nodes);
-    validator.emplace(params.tree.num_nodes);
-    recorder.add_consumer(&*builder);
-    recorder.add_consumer(&*validator);
-    recorder.set_max_retained(0);
-  }
   const double t0 = wall_now_ms();
-  const sim::RunResult result = m.run_traced(program, recorder.sink());
-  out.wall_ms = wall_now_ms() - t0;
-  out.makespan = result.makespan;
-  out.rate_solves = result.network.rate_solves;
-  out.flows_refrozen = result.network.flows_refrozen;
-  out.heap_pops = result.network.heap_pops;
-  out.context_switches = result.context_switches;
-  if (streaming) {
-    out.metrics = builder->finalize(&result);
-    out.violations = validator->finalize(&result);
-  } else {
-    out.metrics = sim::analyze(recorder, params.tree.num_nodes, &result);
-    out.violations =
-        sim::validate_trace(recorder, params.tree.num_nodes, &result);
-  }
-  return out;
+  machine::ObservedRun run = m.run_observed(program);
+  return measured(std::move(run), wall_now_ms() - t0);
 }
 
 Measured measure_complete_exchange(std::int32_t nprocs,
@@ -96,18 +78,9 @@ Measured measure_scheduled_pattern(const sched::CommPattern& pattern,
   sched::ExecutorOptions options;
   options.barrier_per_step = step_barriers;
   const double t0 = wall_now_ms();
-  sched::ObservedScheduleRun run =
+  machine::ObservedRun run =
       sched::run_scheduled_pattern_observed(m, scheduler, pattern, options);
-  Measured out;
-  out.wall_ms = wall_now_ms() - t0;
-  out.makespan = run.result.makespan;
-  out.rate_solves = run.result.network.rate_solves;
-  out.flows_refrozen = run.result.network.flows_refrozen;
-  out.heap_pops = run.result.network.heap_pops;
-  out.context_switches = run.result.context_switches;
-  out.metrics = std::move(run.metrics);
-  out.violations = std::move(run.violations);
-  return out;
+  return measured(std::move(run), wall_now_ms() - t0);
 }
 
 util::SimDuration time_complete_exchange(std::int32_t nprocs,

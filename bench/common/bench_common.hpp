@@ -34,10 +34,6 @@
 ///   CM5_BENCH_THREADS=N    worker threads for run_cells() sweeps
 ///                          (default: a small multiple of the hardware
 ///                          threads; 1 forces a serial sweep)
-///   CM5_TRACE_STREAM=1     analyze/validate each cell incrementally as
-///                          events commit (no retained event vector);
-///                          cell contents are byte-identical either way
-///                          but peak RSS stays O(state), not O(events)
 ///   CM5_BENCH_DETERMINISTIC=1  zero all wall-clock fields in the JSON so
 ///                          parallel and serial sweeps are byte-identical
 
@@ -70,9 +66,9 @@ struct Measured {
   std::int64_t context_switches = 0;
 };
 
-/// Runs `program` on a machine with `params`, traced and analyzed.
-/// Under CM5_TRACE_STREAM=1 the trace is consumed event-by-event
-/// (docs/METRICS.md "Streaming analysis") instead of being buffered.
+/// Runs `program` on a machine with `params` through
+/// Cm5Machine::run_observed: the trace is analyzed and validated as it
+/// commits, never buffered (docs/METRICS.md "Streaming analysis").
 Measured measure_program(const machine::MachineParams& params,
                          const machine::Program& program);
 

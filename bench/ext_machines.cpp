@@ -30,7 +30,7 @@ cm5::bench::Measured irregular_on(const MachineParams& params,
   cm5::machine::Cm5Machine m(params);
   cm5::sched::ExecutorOptions options;
   options.barrier_per_step = true;
-  cm5::sched::ObservedScheduleRun run =
+  cm5::machine::ObservedRun run =
       cm5::sched::run_scheduled_pattern_observed(m, scheduler, pattern,
                                                  options);
   cm5::bench::Measured out;

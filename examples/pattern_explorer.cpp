@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
     machine::Cm5Machine cm5(params);
     sched::ExecutorOptions options;
     options.barrier_per_step = true;
-    sched::ObservedScheduleRun observed =
+    machine::ObservedRun observed =
         sched::run_scheduled_pattern_observed(cm5, scheduler, pattern, options);
     const auto t = observed.result.makespan;
     if (!metrics_path.empty()) {

@@ -4,12 +4,14 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "cm5/machine/params.hpp"
 #include "cm5/net/topology.hpp"
 #include "cm5/sim/kernel.hpp"
 #include "cm5/sim/message.hpp"
+#include "cm5/sim/metrics.hpp"
 #include "cm5/util/time.hpp"
 
 /// \file machine.hpp
@@ -135,6 +137,16 @@ class Node {
 /// A node program at machine level.
 using Program = std::function<void(Node&)>;
 
+/// A run observed end to end: the kernel's result, the metrics derived
+/// from its trace, and the invariant violations sim::validate_trace
+/// reports. Tracing is pure observation, so `result` (the makespan in
+/// particular) is bit-identical to what the untraced run() returns.
+struct ObservedRun {
+  sim::RunResult result;
+  sim::RunMetrics metrics;
+  std::vector<std::string> violations;
+};
+
 /// A simulated CM-5 partition. Construct once, run node programs on it.
 class Cm5Machine {
  public:
@@ -146,6 +158,13 @@ class Cm5Machine {
   /// Like run(), streaming every simulated event into `sink`
   /// (see cm5::sim::TraceRecorder for a convenient collector).
   sim::RunResult run_traced(const Program& program, sim::TraceSink sink);
+
+  /// Like run(), analyzed and validated as the events commit: the trace
+  /// streams into one sim::MetricsBuilder and one sim::TraceValidator
+  /// and no event is retained, so memory stays O(state), not O(events).
+  /// The output equals sim::analyze / sim::validate_trace of a recorded
+  /// trace of the same run (docs/METRICS.md "Streaming analysis").
+  ObservedRun run_observed(const Program& program);
 
   /// Installs a fault plan applied to every subsequent run (validated
   /// against the partition size). Clear with clear_fault_plan().

@@ -2,13 +2,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "cm5/machine/machine.hpp"
 #include "cm5/sched/builders.hpp"
 #include "cm5/sched/schedule.hpp"
-#include "cm5/sim/metrics.hpp"
 
 /// \file executor.hpp
 /// Runs a CommSchedule on the simulated machine with CMMD blocking
@@ -65,22 +63,11 @@ sim::RunResult run_scheduled_pattern(machine::Cm5Machine& machine,
                                      const CommPattern& pattern,
                                      const ExecutorOptions& options = {});
 
-/// A schedule execution observed end to end: the kernel's result, the
-/// metrics derived from its trace, and any invariant violations found
-/// by sim::validate_trace. Tracing is pure observation, so `result`
-/// (and in particular the makespan) is bit-identical to what the
-/// untraced run_scheduled_pattern returns.
-struct ObservedScheduleRun {
-  sim::RunResult result;
-  sim::RunMetrics metrics;
-  std::vector<std::string> violations;
-};
-
-/// Like run_scheduled_pattern, but traced and analyzed. The step
-/// structure is recovered from message tags (tag_base + step), so
-/// metrics.observed_steps() is the executed step count to compare with
-/// estimate_step_times().
-ObservedScheduleRun run_scheduled_pattern_observed(
+/// Like run_scheduled_pattern, but traced and analyzed through
+/// Cm5Machine::run_observed. The step structure is recovered from
+/// message tags (tag_base + step), so metrics.observed_steps() is the
+/// executed step count to compare with estimate_step_times().
+machine::ObservedRun run_scheduled_pattern_observed(
     machine::Cm5Machine& machine, Scheduler scheduler,
     const CommPattern& pattern, const ExecutorOptions& options = {});
 

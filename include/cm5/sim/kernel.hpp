@@ -202,19 +202,6 @@ class Kernel {
   /// order; it must not call back into the kernel.
   void set_trace(TraceSink sink) { trace_ = std::move(sink); }
 
-  /// Streams subsequent runs straight into one consumer — no recorder,
-  /// no event buffering. Same locking contract as the sink overload;
-  /// pass nullptr to clear.
-  void set_trace(TraceConsumer* consumer) {
-    if (consumer == nullptr) {
-      trace_ = nullptr;
-    } else {
-      trace_ = [consumer](const TraceEvent& event) {
-        consumer->on_event(event);
-      };
-    }
-  }
-
   /// Installs a fault plan for subsequent runs (validated against the
   /// topology; throws std::invalid_argument on a bad plan). With a plan
   /// installed the usual end-of-run cleanliness checks (no unmatched

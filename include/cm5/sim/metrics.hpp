@@ -180,9 +180,7 @@ struct LatencySummary {
 /// NodeDone events serve.
 ///
 /// Implementation: streams the vector through a MetricsBuilder —
-/// O(state) working memory, byte-identical output. CM5_ANALYZE_BATCH=1
-/// selects the retained batch oracle instead (analyze_batch); the
-/// differential fuzz in tests/integration compares the two.
+/// O(state) working memory beyond the vector itself.
 RunMetrics analyze(const std::vector<TraceEvent>& events, std::int32_t nprocs,
                    const RunResult* result = nullptr);
 
@@ -190,19 +188,16 @@ RunMetrics analyze(const std::vector<TraceEvent>& events, std::int32_t nprocs,
 RunMetrics analyze(const TraceRecorder& recorder, std::int32_t nprocs,
                    const RunResult* result = nullptr);
 
-/// The original multi-pass batch analyzer, retained as the oracle the
-/// streaming MetricsBuilder is differentially fuzzed against. Needs the
-/// whole event vector (O(E) memory).
+/// The original multi-pass batch analyzer: a test-only reference that
+/// no production code calls. The differential fuzz in tests/integration
+/// and tests/simcore/trace_stream_test.cpp check the streaming
+/// MetricsBuilder against it. Needs the whole event vector (O(E) memory).
 RunMetrics analyze_batch(const std::vector<TraceEvent>& events,
                          std::int32_t nprocs,
                          const RunResult* result = nullptr);
 
-/// True when CM5_ANALYZE_BATCH routes analyze()/validate_trace() to the
-/// batch oracle (set, non-empty, not "0").
-bool analyze_batch_requested();
-
-/// Streaming analyze(): feed events in commit order via on_event() (or
-/// register on a TraceRecorder), then call finalize() exactly once —
+/// Streaming analyze(): feed events in commit order via on_event() (as
+/// Cm5Machine::run_observed does), then call finalize() exactly once —
 /// with the RunResult when one exists — to obtain the RunMetrics.
 /// Output is byte-identical to analyze_batch() on any kernel-produced
 /// trace; working memory is O(nprocs + in-flight messages + distinct
@@ -280,8 +275,9 @@ std::vector<std::string> validate_trace(const TraceRecorder& recorder,
                                         std::int32_t nprocs,
                                         const RunResult* result = nullptr);
 
-/// The original single-pass batch validator, retained as the oracle the
-/// streaming TraceValidator is differentially fuzzed against.
+/// The original single-pass batch validator: a test-only reference that
+/// no production code calls, kept so the differential fuzz can check the
+/// streaming TraceValidator against it.
 std::vector<std::string> validate_trace_batch(
     const std::vector<TraceEvent>& events, std::int32_t nprocs,
     const RunResult* result = nullptr);

@@ -22,11 +22,10 @@
 /// inside the kernel under its lock: they must be fast and must not
 /// call back into the simulation.
 ///
-/// Streaming mode (docs/METRICS.md "Streaming analysis"): consumers
-/// registered on a TraceRecorder see every event as it is committed,
-/// and set_max_retained() bounds (or eliminates) the recorder's own
-/// buffer — a giant-N run can then be analyzed in O(state) memory
-/// instead of materializing the O(E) event vector first.
+/// A sink need not retain anything: Cm5Machine::run_observed feeds the
+/// streaming consumers directly (docs/METRICS.md "Streaming analysis"),
+/// so a giant-N run is analyzed in O(state) memory instead of
+/// materializing the O(E) event vector first.
 
 namespace cm5::sim {
 
@@ -83,54 +82,33 @@ class TraceConsumer {
   virtual void on_event(const TraceEvent& event) = 0;
 };
 
-/// True when CM5_TRACE_STREAM selects streaming trace analysis (set,
-/// non-empty, not "0"): bench/common and the observed schedule runner
-/// then feed registered consumers directly and discard committed
-/// events instead of buffering the full run (docs/METRICS.md).
-bool trace_stream_requested();
-
 /// Convenience sink: records events in order and offers simple queries;
-/// used by tests and the pattern-explorer's --trace mode. Also the
-/// streaming hub: registered TraceConsumers see every event as it
-/// arrives, and set_max_retained() bounds the recorder's own buffer so
-/// giant runs need not materialize the whole event vector.
+/// used by tests, the benchmark and the pattern-explorer's --trace mode.
 class TraceRecorder {
  public:
   /// The sink to hand to the kernel. The recorder must outlive the run.
   TraceSink sink();
 
-  /// Registers a consumer fed every subsequently recorded event (in
-  /// commit order, before the event is buffered). Not owned — the
-  /// consumer must outlive the recorder's use. Consumers run inside the
-  /// kernel's sink path: fast, no calls back into the simulation.
-  void add_consumer(TraceConsumer* consumer);
-
-  /// Bounds the retained buffer: only the first `max_events` events are
-  /// kept in events() (0 keeps none — pure streaming). Consumers and
-  /// the total/per-kind counters always see the full stream. Unlimited
-  /// by default.
-  void set_max_retained(std::size_t max_events);
-
-  /// The retained events (everything, unless set_max_retained() capped
-  /// the buffer).
+  /// The recorded events, in commit order.
   const std::vector<TraceEvent>& events() const noexcept { return events_; }
 
-  /// Retained events stably sorted by virtual time.
+  /// Recorded events stably sorted by virtual time.
   std::vector<TraceEvent> sorted() const;
 
-  /// Number of events of one kind seen so far — O(1), counted over the
-  /// full stream even when the buffer is capped.
+  /// Number of events of one kind recorded so far — O(1).
   std::int64_t count(TraceEvent::Kind kind) const;
 
-  /// Total events seen (retained or not).
-  std::int64_t total_events() const noexcept { return total_events_; }
+  /// Total events recorded.
+  std::int64_t total_events() const noexcept {
+    return static_cast<std::int64_t>(events_.size());
+  }
 
-  /// Retained events involving one node (as actor or peer), in order.
+  /// Recorded events involving one node (as actor or peer), in order.
   /// Served from a lazily built per-node index, so repeated queries on
   /// a large trace cost O(answer), not O(E) rescans per call.
   std::vector<TraceEvent> for_node(net::NodeId node) const;
 
-  /// Renders up to `max_lines` retained events as text lines.
+  /// Renders up to `max_lines` recorded events as text lines.
   std::string render(std::size_t max_lines = 100) const;
 
   /// Renders an ASCII timeline: one row per node, `width` time buckets
@@ -144,11 +122,8 @@ class TraceRecorder {
   void ensure_node_index() const;
 
   std::vector<TraceEvent> events_;
-  std::vector<TraceConsumer*> consumers_;
-  std::size_t max_retained_ = static_cast<std::size_t>(-1);
   std::array<std::int64_t, TraceEvent::kNumKinds> kind_counts_{};
-  std::int64_t total_events_ = 0;
-  /// Lazy per-node index over the retained buffer (event positions where
+  /// Lazy per-node index over the recorded events (event positions where
   /// the node appears as actor or peer); rebuilt after new events arrive.
   mutable std::unordered_map<net::NodeId, std::vector<std::size_t>>
       node_index_;

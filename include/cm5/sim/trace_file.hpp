@@ -76,7 +76,8 @@ struct TraceFileInfo {
 /// Streams a CM5TRACE file through `consumer` (which may be null to
 /// merely verify structure), one event per `e` line, and returns the
 /// header/trailer facts. Throws TraceFileError on open failure, on a
-/// malformed header or line, on an event-count mismatch, and — with
+/// malformed header or line (a header node count below 1 included), on
+/// an event-count mismatch, and — with
 /// truncated() true — when the file ends before the trailer.
 TraceFileInfo read_trace_file(const std::string& path,
                               TraceConsumer* consumer);

@@ -248,6 +248,19 @@ sim::RunResult Cm5Machine::run_traced(const Program& program,
   });
 }
 
+ObservedRun Cm5Machine::run_observed(const Program& program) {
+  sim::MetricsBuilder builder(topo_.num_nodes());
+  sim::TraceValidator validator(topo_.num_nodes());
+  ObservedRun out;
+  out.result = run_traced(program, [&](const sim::TraceEvent& event) {
+    builder.on_event(event);
+    validator.on_event(event);
+  });
+  out.metrics = builder.finalize(&out.result);
+  out.violations = validator.finalize(&out.result);
+  return out;
+}
+
 void Cm5Machine::set_fault_plan(sim::FaultPlan plan) {
   plan.validate(topo_.num_nodes());
   fault_plan_ = std::move(plan);

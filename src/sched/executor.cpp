@@ -112,34 +112,13 @@ sim::RunResult run_scheduled_pattern(machine::Cm5Machine& machine,
   });
 }
 
-ObservedScheduleRun run_scheduled_pattern_observed(
+machine::ObservedRun run_scheduled_pattern_observed(
     machine::Cm5Machine& machine, Scheduler scheduler,
     const CommPattern& pattern, const ExecutorOptions& options) {
   const CommSchedule schedule = build_schedule(scheduler, pattern);
-  sim::TraceRecorder recorder;
-  ObservedScheduleRun out;
-  if (sim::trace_stream_requested()) {
-    // Stream the trace through the incremental consumers as it commits
-    // and retain no events: same metrics/violations byte for byte, peak
-    // memory O(state) instead of O(events).
-    sim::MetricsBuilder builder(pattern.nprocs());
-    sim::TraceValidator validator(pattern.nprocs());
-    recorder.add_consumer(&builder);
-    recorder.add_consumer(&validator);
-    recorder.set_max_retained(0);
-    out.result = machine.run_traced(
-        [&](machine::Node& node) { execute_schedule(node, schedule, options); },
-        recorder.sink());
-    out.metrics = builder.finalize(&out.result);
-    out.violations = validator.finalize(&out.result);
-    return out;
-  }
-  out.result = machine.run_traced(
-      [&](machine::Node& node) { execute_schedule(node, schedule, options); },
-      recorder.sink());
-  out.metrics = sim::analyze(recorder, pattern.nprocs(), &out.result);
-  out.violations = sim::validate_trace(recorder, pattern.nprocs(), &out.result);
-  return out;
+  return machine.run_observed([&](machine::Node& node) {
+    execute_schedule(node, schedule, options);
+  });
 }
 
 }  // namespace cm5::sched

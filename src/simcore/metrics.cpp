@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <deque>
 #include <tuple>
 #include <unordered_map>
@@ -91,11 +90,6 @@ util::SimDuration RunMetrics::total_barrier_wait() const noexcept {
   util::SimDuration t = 0;
   for (const NodeTimeBreakdown& n : nodes) t += n.barrier_wait;
   return t;
-}
-
-bool analyze_batch_requested() {
-  const char* v = std::getenv("CM5_ANALYZE_BATCH");
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
 }
 
 RunMetrics analyze_batch(const std::vector<TraceEvent>& events,
@@ -363,7 +357,6 @@ RunMetrics analyze_batch(const std::vector<TraceEvent>& events,
 
 RunMetrics analyze(const std::vector<TraceEvent>& events, std::int32_t nprocs,
                    const RunResult* result) {
-  if (analyze_batch_requested()) return analyze_batch(events, nprocs, result);
   MetricsBuilder builder(nprocs);
   for (const TraceEvent& e : events) builder.on_event(e);
   return builder.finalize(result);
@@ -741,9 +734,6 @@ std::vector<std::string> validate_trace_batch(
 std::vector<std::string> validate_trace(const std::vector<TraceEvent>& events,
                                         std::int32_t nprocs,
                                         const RunResult* result) {
-  if (analyze_batch_requested()) {
-    return validate_trace_batch(events, nprocs, result);
-  }
   TraceValidator validator(nprocs);
   for (const TraceEvent& e : events) validator.on_event(e);
   return validator.finalize(result);

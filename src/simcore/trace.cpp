@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -86,37 +85,15 @@ std::string to_string(const TraceEvent& event) {
   return os.str();
 }
 
-bool trace_stream_requested() {
-  const char* v = std::getenv("CM5_TRACE_STREAM");
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
-
 void TraceRecorder::ingest(const TraceEvent& event) {
-  ++total_events_;
   const auto k = static_cast<std::size_t>(event.kind);
   if (k < kind_counts_.size()) ++kind_counts_[k];
-  for (TraceConsumer* c : consumers_) c->on_event(event);
-  if (events_.size() < max_retained_) {
-    events_.push_back(event);
-    node_index_valid_ = false;
-  }
+  events_.push_back(event);
+  node_index_valid_ = false;
 }
 
 TraceSink TraceRecorder::sink() {
   return [this](const TraceEvent& event) { ingest(event); };
-}
-
-void TraceRecorder::add_consumer(TraceConsumer* consumer) {
-  if (consumer != nullptr) consumers_.push_back(consumer);
-}
-
-void TraceRecorder::set_max_retained(std::size_t max_events) {
-  max_retained_ = max_events;
-  if (events_.size() > max_retained_) {
-    events_.resize(max_retained_);
-    events_.shrink_to_fit();
-    node_index_valid_ = false;
-  }
 }
 
 std::vector<TraceEvent> TraceRecorder::sorted() const {

@@ -85,6 +85,11 @@ TraceFileInfo read_trace_file(const std::string& path,
     close_and_fail("unsupported version " + std::to_string(info.version),
                    false);
   }
+  if (info.nprocs < 1) {
+    close_and_fail("bad node count nprocs=" + std::to_string(info.nprocs) +
+                       " (must be at least 1)",
+                   false);
+  }
 
   bool saw_end = false;
   std::int64_t declared = 0;

@@ -173,7 +173,7 @@ TEST_P(FuzzTest, TracedRunsSatisfyAllInvariants) {
        {sched::Scheduler::Linear, sched::Scheduler::Pairwise,
         sched::Scheduler::Balanced, sched::Scheduler::Greedy}) {
     Cm5Machine m(MachineParams::cm5_defaults(nprocs));
-    const sched::ObservedScheduleRun observed =
+    const machine::ObservedRun observed =
         sched::run_scheduled_pattern_observed(m, scheduler, pattern);
     EXPECT_TRUE(observed.violations.empty())
         << sched::scheduler_name(scheduler) << " nprocs=" << nprocs

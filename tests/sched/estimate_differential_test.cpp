@@ -41,7 +41,7 @@ TEST_P(EstimateDifferential, StepCountsAgreeOnCompleteExchange) {
     EXPECT_EQ(from_model, from_schedule) << scheduler_name(scheduler);
 
     Cm5Machine m(params);
-    const ObservedScheduleRun observed =
+    const machine::ObservedRun observed =
         run_scheduled_pattern_observed(m, scheduler, pattern);
     EXPECT_TRUE(observed.violations.empty()) << scheduler_name(scheduler);
     EXPECT_EQ(observed.metrics.observed_steps(), from_schedule)

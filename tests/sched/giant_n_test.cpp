@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,7 +12,6 @@
 #include "cm5/sched/complete_exchange.hpp"
 #include "cm5/sim/golden_guard.hpp"
 #include "cm5/sim/metrics.hpp"
-#include "cm5/sim/trace.hpp"
 
 /// Giant-partition regression battery (`ctest -L giantn`): the paper's
 /// asymptotic claims checked at partition sizes the CM-5 never shipped
@@ -168,66 +166,37 @@ TEST(GiantN, RecursiveExchangeScalesAsLgN) {
 TEST(GiantN, StreamingRex8192AnalyzesUnderRssBudget) {
   // The streaming trace pipeline's reason to exist: a *traced and fully
   // analyzed* N = 8192 REX run without ever materializing the event
-  // vector. The run streams into MetricsBuilder/TraceValidator with a
-  // zero-retention recorder and must fit a peak-RSS budget that the
-  // batch path (vector + multi-pass maps) measurably exceeds — the
+  // vector. Cm5Machine::run_observed streams the run into
+  // MetricsBuilder/TraceValidator and must fit a peak-RSS budget that
+  // the batch path (vector + multi-pass maps) measurably exceeds — the
   // before/after numbers live in docs/PERF.md "Streaming analysis".
-  // CM5_ANALYZE_BATCH=1 flips this test to the materializing oracle
-  // path (budget assert off): that is how the PERF.md comparison is
-  // measured, in separate processes so ru_maxrss is clean per mode.
   if (reduced_budget()) {
     GTEST_SKIP() << "RSS budget is calibrated for non-sanitizer builds";
   }
   const std::int32_t n = 8192;
   const std::int32_t lg = 13;
   Cm5Machine m = giant_machine(n);
-  sim::TraceRecorder recorder;
-  const bool batch_oracle = sim::analyze_batch_requested();
-  std::optional<sim::MetricsBuilder> builder;
-  std::optional<sim::TraceValidator> validator;
-  if (!batch_oracle) {
-    builder.emplace(n);
-    validator.emplace(n);
-    recorder.add_consumer(&*builder);
-    recorder.add_consumer(&*validator);
-    recorder.set_max_retained(0);
-  }
-  const sim::RunResult r = m.run_traced(
-      [&](Node& node) {
-        complete_exchange(node, ExchangeAlgorithm::Recursive, 64);
-      },
-      recorder.sink());
-  sim::RunMetrics metrics;
-  std::vector<std::string> violations;
-  if (batch_oracle) {
-    metrics = sim::analyze_batch(recorder.events(), n, &r);
-    violations = sim::validate_trace_batch(recorder.events(), n, &r);
-  } else {
-    EXPECT_TRUE(recorder.events().empty());
-    metrics = builder->finalize(&r);
-    violations = validator->finalize(&r);
-  }
-  EXPECT_TRUE(violations.empty());
-  for (const std::string& v : violations) ADD_FAILURE() << v;
-  EXPECT_EQ(metrics.makespan, r.makespan);
+  const machine::ObservedRun run = m.run_observed([&](Node& node) {
+    complete_exchange(node, ExchangeAlgorithm::Recursive, 64);
+  });
+  EXPECT_TRUE(run.violations.empty());
+  for (const std::string& v : run.violations) ADD_FAILURE() << v;
+  const sim::RunMetrics& metrics = run.metrics;
+  EXPECT_EQ(metrics.makespan, run.result.makespan);
   EXPECT_EQ(metrics.messages_posted, static_cast<std::int64_t>(n) * lg);
-  EXPECT_EQ(metrics.num_events, recorder.total_events());
   EXPECT_EQ(metrics.observed_steps(), lg);
 
   struct rusage usage{};
   ASSERT_EQ(getrusage(RUSAGE_SELF, &usage), 0);
-  std::printf("peak_rss_kb=%ld mode=%s\n", usage.ru_maxrss,
-              batch_oracle ? "batch" : "streaming");
-  if (!batch_oracle) {
-    // Calibrated against docs/PERF.md "Streaming analysis": ~170 MB
-    // measured on the reference container (the seed materialized
-    // 3.9 GB here: O(N²) route table + O(E) trace vector). The batch
-    // path fits this budget only on short traces — at 4× the trace
-    // length it is past 290 MB while streaming stays flat — so the
-    // bound pins the O(state) claim without needing a giant run.
-    EXPECT_LT(usage.ru_maxrss, 256 * 1024L)
-        << "streaming analysis lost its O(state) memory bound";
-  }
+  std::printf("peak_rss_kb=%ld\n", usage.ru_maxrss);
+  // Calibrated against docs/PERF.md "Streaming analysis": ~170 MB
+  // measured on the reference container (the seed materialized 3.9 GB
+  // here: O(N²) route table + O(E) trace vector). The batch path fits
+  // this budget only on short traces — at 4× the trace length it is
+  // past 290 MB while streaming stays flat — so the bound pins the
+  // O(state) claim without needing a giant run.
+  EXPECT_LT(usage.ru_maxrss, 256 * 1024L)
+      << "streaming analysis lost its O(state) memory bound";
 }
 
 TEST(GiantN, LinearBroadcast8192Golden) {

@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -14,12 +14,10 @@
 #include "cm5/sim/trace_file.hpp"
 #include "cm5/util/time.hpp"
 
-/// Streaming trace pipeline tests: recorder consumer fan-out and buffer
-/// bounding, byte-identical streaming-vs-batch analysis on hand-built
-/// traces (valid and violating), the CM5TRACE file roundtrip with
-/// truncation diagnosis, and the CM5_ANALYZE_BATCH / CM5_TRACE_STREAM
-/// dispatch knobs. Own binary: these tests mutate CM5_* environment
-/// variables and must not race other tests' getenv calls.
+/// Streaming trace pipeline tests: the recorder's queries, byte-identical
+/// streaming-vs-batch analysis on hand-built traces (valid and
+/// violating) and on live runs through Cm5Machine::run_observed, and the
+/// CM5TRACE file roundtrip with truncation diagnosis.
 
 namespace cm5::sim {
 namespace {
@@ -110,56 +108,17 @@ void expect_stream_matches_batch(const std::vector<TraceEvent>& events,
   EXPECT_EQ(validator.finalize(result), batch_violations);
 }
 
-// --- recorder streaming hub -------------------------------------------------
-
-TEST(TraceRecorderStream, ConsumersSeeEveryEventInOrder) {
-  TraceRecorder recorder;
-  Collect a, b;
-  recorder.add_consumer(&a);
-  recorder.add_consumer(&b);
-  auto sink = recorder.sink();
-  for (const TraceEvent& e : tiny_trace()) sink(e);
-  ASSERT_EQ(a.events.size(), tiny_trace().size());
-  ASSERT_EQ(b.events.size(), tiny_trace().size());
-  for (std::size_t i = 0; i < a.events.size(); ++i) {
-    EXPECT_TRUE(same_event(a.events[i], tiny_trace()[i])) << "event " << i;
-    EXPECT_TRUE(same_event(b.events[i], tiny_trace()[i])) << "event " << i;
-  }
-}
-
-TEST(TraceRecorderStream, MaxRetainedZeroDiscardsButCountsEverything) {
-  TraceRecorder recorder;
-  Collect seen;
-  recorder.add_consumer(&seen);
-  recorder.set_max_retained(0);
-  auto sink = recorder.sink();
-  for (const TraceEvent& e : tiny_trace()) sink(e);
-  EXPECT_TRUE(recorder.events().empty());
-  EXPECT_EQ(seen.events.size(), tiny_trace().size());
-  EXPECT_EQ(recorder.total_events(),
-            static_cast<std::int64_t>(tiny_trace().size()));
-  EXPECT_EQ(recorder.count(Kind::SendPosted), 1);
-  EXPECT_EQ(recorder.count(Kind::NodeDone), 2);
-  EXPECT_EQ(recorder.count(Kind::FaultDrop), 0);
-}
-
-TEST(TraceRecorderStream, MaxRetainedBoundsTruncateRetroactively) {
-  TraceRecorder recorder;
-  auto sink = recorder.sink();
-  for (const TraceEvent& e : tiny_trace()) sink(e);
-  EXPECT_EQ(recorder.events().size(), tiny_trace().size());
-  recorder.set_max_retained(3);
-  EXPECT_EQ(recorder.events().size(), 3u);
-  // Counters still describe the full stream.
-  EXPECT_EQ(recorder.total_events(),
-            static_cast<std::int64_t>(tiny_trace().size()));
-  EXPECT_EQ(recorder.count(Kind::NodeDone), 2);
-}
+// --- recorder ---------------------------------------------------------------
 
 TEST(TraceRecorderStream, ForNodeUsesIndexAndSeesActorAndPeer) {
   TraceRecorder recorder;
   auto sink = recorder.sink();
   for (const TraceEvent& e : tiny_trace()) sink(e);
+  EXPECT_EQ(recorder.total_events(),
+            static_cast<std::int64_t>(tiny_trace().size()));
+  EXPECT_EQ(recorder.count(Kind::SendPosted), 1);
+  EXPECT_EQ(recorder.count(Kind::NodeDone), 2);
+  EXPECT_EQ(recorder.count(Kind::FaultDrop), 0);
   const auto node1 = recorder.for_node(1);
   // Node 1 appears as actor (RecvPosted, NodeDone) and as peer of the
   // send/transfer events.
@@ -170,6 +129,9 @@ TEST(TraceRecorderStream, ForNodeUsesIndexAndSeesActorAndPeer) {
 }
 
 TEST(TraceRecorderStream, KernelSetTraceConsumerOverloadStreams) {
+  // A consumer fed from a plain lambda sink handed to run_traced (the
+  // wiring Cm5Machine::run_observed uses) sees exactly the stream a
+  // recorder stores, event for event.
   Collect streamed;
   TraceRecorder recorder;
   const std::int32_t nprocs = 8;
@@ -220,58 +182,68 @@ TEST(StreamingAnalysis, MatchesBatchOnRealRun) {
   expect_stream_matches_batch(recorder.events(), nprocs, &result);
 }
 
+/// Runs `program` on `nprocs` nodes (under `plan`, when given) twice:
+/// once through Cm5Machine::run_observed, once recorded into `twin` and
+/// analyzed by the batch oracles. The two must agree byte for byte.
+machine::ObservedRun expect_observed_matches_batch(
+    std::int32_t nprocs, const machine::Program& program,
+    TraceRecorder& twin, const FaultPlan* plan = nullptr) {
+  Cm5Machine recorded(MachineParams::cm5_defaults(nprocs));
+  Cm5Machine observed(MachineParams::cm5_defaults(nprocs));
+  if (plan != nullptr) {
+    recorded.set_fault_plan(*plan);
+    observed.set_fault_plan(*plan);
+  }
+  const RunResult twin_result = recorded.run_traced(program, twin.sink());
+  machine::ObservedRun run = observed.run_observed(program);
+  EXPECT_EQ(run.result.makespan, twin_result.makespan);
+  EXPECT_EQ(run.metrics.to_json(true).dump(),
+            analyze_batch(twin.events(), nprocs, &twin_result)
+                .to_json(true)
+                .dump());
+  EXPECT_EQ(run.violations,
+            validate_trace_batch(twin.events(), nprocs, &twin_result));
+  return run;
+}
+
 TEST(StreamingAnalysis, ConsumerOnRecorderMatchesPostHocAnalysis) {
-  // The full streaming wiring: consumers registered before the run, no
-  // retained events, finalize against the RunResult — must equal the
-  // batch analysis of a separately recorded identical run.
-  const std::int32_t nprocs = 8;
-  const auto program = [](Node& node) {
-    sched::complete_exchange(node, sched::ExchangeAlgorithm::Linear, 128);
-  };
+  // The production wiring: run_observed feeds the consumers as events
+  // commit, retains nothing and finalizes against the RunResult.
+  TraceRecorder clean;
+  const machine::ObservedRun run = expect_observed_matches_batch(
+      8,
+      [](Node& node) {
+        sched::complete_exchange(node, sched::ExchangeAlgorithm::Linear, 128);
+      },
+      clean);
+  EXPECT_TRUE(run.violations.empty());
 
-  TraceRecorder batch_recorder;
-  Cm5Machine batch_machine(MachineParams::cm5_defaults(nprocs));
-  const RunResult batch_result =
-      batch_machine.run_traced(program, batch_recorder.sink());
-  const RunMetrics want =
-      analyze_batch(batch_recorder.events(), nprocs, &batch_result);
-
-  TraceRecorder recorder;
-  MetricsBuilder builder(nprocs);
-  TraceValidator validator(nprocs);
-  recorder.add_consumer(&builder);
-  recorder.add_consumer(&validator);
-  recorder.set_max_retained(0);
-  Cm5Machine m(MachineParams::cm5_defaults(nprocs));
-  const RunResult result = m.run_traced(program, recorder.sink());
-
-  EXPECT_TRUE(recorder.events().empty());
-  const RunMetrics got = builder.finalize(&result);
-  EXPECT_EQ(got.to_json(true).dump(), want.to_json(true).dump());
-  EXPECT_TRUE(validator.finalize(&result).empty());
-}
-
-// --- dispatch knobs ---------------------------------------------------------
-
-TEST(AnalyzeDispatch, BatchEnvSelectsOracleAndMatches) {
-  ASSERT_EQ(setenv("CM5_ANALYZE_BATCH", "1", 1), 0);
-  EXPECT_TRUE(analyze_batch_requested());
-  const RunMetrics via_env = analyze(tiny_trace(), 2);
-  ASSERT_EQ(setenv("CM5_ANALYZE_BATCH", "0", 1), 0);
-  EXPECT_FALSE(analyze_batch_requested());
-  const RunMetrics via_stream = analyze(tiny_trace(), 2);
-  unsetenv("CM5_ANALYZE_BATCH");
-  EXPECT_EQ(via_env.to_json(true).dump(), via_stream.to_json(true).dump());
-}
-
-TEST(AnalyzeDispatch, TraceStreamEnvParses) {
-  unsetenv("CM5_TRACE_STREAM");
-  EXPECT_FALSE(trace_stream_requested());
-  ASSERT_EQ(setenv("CM5_TRACE_STREAM", "1", 1), 0);
-  EXPECT_TRUE(trace_stream_requested());
-  ASSERT_EQ(setenv("CM5_TRACE_STREAM", "0", 1), 0);
-  EXPECT_FALSE(trace_stream_requested());
-  unsetenv("CM5_TRACE_STREAM");
+  // The first 0 -> 1 transfer is dropped in flight: the live stream
+  // carries a TransferComplete voided by the FaultDrop right after it,
+  // which MetricsBuilder resolves only by running one event behind.
+  FaultPlan drop_first;
+  drop_first.targeted_drops.push_back({0, 1, 0});
+  TraceRecorder faulty;
+  expect_observed_matches_batch(
+      4,
+      [](Node& node) {
+        if (node.self() == 0) {
+          node.send_block(1, 64, 5);
+          node.send_block(1, 64, 5);
+        } else if (node.self() == 1) {
+          node.receive_timeout(0, 5, util::from_us(10000));
+          node.receive_timeout(0, 5, util::from_us(10000));
+        }
+      },
+      faulty, &drop_first);
+  EXPECT_EQ(faulty.count(Kind::FaultDrop), 1);
+  const std::vector<TraceEvent>& events = faulty.events();
+  EXPECT_NE(std::adjacent_find(events.begin(), events.end(),
+                               [](const TraceEvent& a, const TraceEvent& b) {
+                                 return a.kind == Kind::TransferComplete &&
+                                        b.kind == Kind::FaultDrop;
+                               }),
+            events.end());
 }
 
 // --- CM5TRACE file roundtrip ------------------------------------------------

@@ -158,6 +158,31 @@ TEST(TraceAnalyzerCli, TruncatedTraceFileIsDiagnosedWithExit2) {
   std::remove(path.c_str());
 }
 
+TEST(TraceAnalyzerCli, NonPositiveNodeCountIsDiagnosedWithExit2) {
+  // A header claiming fewer than one node is malformed: show must not
+  // print "-3 node(s)" and check must not blame the events for it.
+  const std::string path = temp_path("cli_robustness_nprocs.cm5trace");
+  for (const std::string nprocs : {"-3", "0"}) {
+    write_text(path, "CM5TRACE 1 nprocs=" + nprocs +
+                         "\n"
+                         "e 8 300 0 -1 0 0\n"
+                         "end 1\n");
+    for (const std::string mode : {"show", "check"}) {
+      const RunResult r =
+          run(std::string(CM5_TRACE_ANALYZER_BIN) + " " + mode + " " + path);
+      EXPECT_EQ(r.exit_code, 2) << mode << " nprocs=" << nprocs << "\n"
+                                << r.output;
+      EXPECT_NE(r.output.find(path), std::string::npos)
+          << "diagnosis must name the file:\n" << r.output;
+      EXPECT_NE(r.output.find("nprocs=" + nprocs), std::string::npos)
+          << r.output;
+      EXPECT_EQ(std::count(r.output.begin(), r.output.end(), '\n'), 1)
+          << r.output;
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST(TraceAnalyzerCli, WellFormedTraceFileShowsAndChecks) {
   const std::string path = temp_path("cli_robustness_ok.cm5trace");
   write_text(path,
