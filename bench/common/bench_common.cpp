@@ -235,11 +235,6 @@ void MetricsEmitter::record_json(const std::string& id,
 
 void MetricsEmitter::write() {
   if (written_) return;
-  const char* enabled = std::getenv("CM5_BENCH_METRICS");
-  if (enabled != nullptr && enabled[0] == '0' && enabled[1] == '\0') {
-    written_ = true;
-    return;
-  }
   using util::json::Value;
   Value root = Value::object();
   root["bench"] = bench_name_;

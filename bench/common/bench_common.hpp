@@ -28,7 +28,6 @@
 ///
 /// Environment knobs (all optional):
 ///   CM5_BENCH_METRICS_DIR  directory for the JSON file (default ".")
-///   CM5_BENCH_METRICS=0    disable the JSON file entirely
 ///   CM5_BENCH_SMOKE=1      smoke mode: smoke_select() picks reduced
 ///                          size lists so CI can run every bench fast
 ///   CM5_BENCH_THREADS=N    worker threads for run_cells() sweeps
@@ -179,7 +178,7 @@ class MetricsEmitter {
   std::int64_t violations_total() const noexcept { return violations_total_; }
 
   /// Writes the metrics file now (idempotent; destructor calls it too).
-  /// Honors CM5_BENCH_METRICS / CM5_BENCH_METRICS_DIR; prints a warning
+  /// Writes into CM5_BENCH_METRICS_DIR (default "."); prints a warning
   /// to stderr on I/O failure instead of throwing.
   void write();
 

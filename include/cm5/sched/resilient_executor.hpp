@@ -22,7 +22,7 @@
 /// protocol over the same canonical op order:
 ///
 ///   * per-step receive timeouts — either the fixed oracle
-///     (timeout_factor * estimate_step_times()) or Jacobson-style
+///     (4 * estimate_step_times()) or Jacobson-style
 ///     adaptive RTO from per-peer EWMA of observed waits (mean +
 ///     variance), clamped between a safety floor and the fixed value;
 ///   * bounded retry with capped, jittered exponential backoff (in
@@ -47,7 +47,7 @@
 ///     replay, verifying the digest chain step by step, and finishes
 ///     with a final report bit-identical to the uninterrupted run.
 ///
-/// Acks travel on tags >= ResilientOptions::ack_tag_base, which the
+/// Acks travel on tags >= 2^30 (data on 1000 + step), which the
 /// default FaultPlan::control_tag_floor exempts from probabilistic
 /// faults — they model hardware-acknowledged control traffic. Targeted
 /// drops pierce that exemption (see the ack-loss tests).
@@ -56,18 +56,17 @@ namespace cm5::sched {
 
 /// How the per-window receive timeout is chosen.
 enum class TimeoutPolicy : std::uint8_t {
-  /// max(min_timeout, timeout_factor * step estimate) — the original
-  /// fixed policy, retained as the conservative oracle.
+  /// max(200 us, 4 * step estimate) — the original fixed policy,
+  /// retained as the conservative oracle.
   kFixed,
   /// An edge's *first* receive window always uses the fixed deadline
   /// (healthy runs therefore behave exactly like kFixed: zero spurious
   /// timeouts). Once an edge shows evidence of loss — a timeout or a
   /// NACK — subsequent windows use a Jacobson EWMA of observed waits
   /// per peer (normalized by the step estimate): RTO = srtt + 4 *
-  /// rttvar, floored at rto_floor_factor * step estimate, doubled per
-  /// consecutive timeout, never above the fixed deadline. Recovery
-  /// windows (retries, dead peers) shrink roughly by timeout_factor /
-  /// rto_floor_factor, which is where faulty runs spend their time.
+  /// rttvar, floored at 2 * step estimate, never above the fixed
+  /// deadline. Recovery windows (retries, dead peers) therefore shrink
+  /// by up to half, which is where faulty runs spend their time.
   kAdaptive,
 };
 
@@ -107,18 +106,8 @@ struct ResilientOptions {
   /// Max copies of one message a sender transmits (and max receive
   /// windows a receiver waits) before suspecting the peer dead.
   std::int32_t max_attempts = 8;
-  /// Fixed-policy timeout multiplier; also the adaptive policy's upper
-  /// clamp, so kAdaptive never waits longer than kFixed would.
-  double timeout_factor = 4.0;
-  util::SimDuration min_timeout = util::from_us(200);
   /// Receive-timeout policy; kFixed is the selectable oracle.
   TimeoutPolicy timeout_policy = TimeoutPolicy::kAdaptive;
-  /// Adaptive RTO floor for recovery windows, as a fraction of the step
-  /// estimate. Actual waits can exceed the analytic estimate (greedy
-  /// schedules serialize receives the estimator does not model), so the
-  /// default keeps a 2x margin — still half of the fixed oracle's 4x,
-  /// and only ever applied after an edge has already shown loss.
-  double rto_floor_factor = 2.0;
   /// Backoff before the k-th resend: backoff_base << (k-1), clamped to
   /// backoff_max (overflow-safe), minus deterministic jitter of up to
   /// backoff_jitter of itself. See resilient_backoff().
@@ -130,11 +119,6 @@ struct ResilientOptions {
   /// behaviour; the default 2 tolerates one-round glitches (late
   /// deliveries, lost acks, slow nodes).
   std::int32_t suspicion_rounds = 2;
-  /// Data messages use data_tag_base + step.
-  std::int32_t data_tag_base = 1000;
-  /// Ack messages use ack_tag_base + step; keep this at or above the
-  /// plan's control_tag_floor so acks stay reliable.
-  std::int32_t ack_tag_base = 1 << 30;
   /// Re-run the same program fault-free to measure makespan overhead
   /// (skipped automatically when no fault plan is installed, and when
   /// stop_after_step cuts the run short).
@@ -219,25 +203,5 @@ struct ResilientRunReport {
 ResilientRunReport run_resilient_schedule(machine::Cm5Machine& machine,
                                           const CommSchedule& schedule,
                                           const ResilientOptions& options = {});
-
-/// Object wrapper over run_resilient_schedule for repeated runs of one
-/// schedule (the schedule is copied in).
-class ResilientExecutor {
- public:
-  explicit ResilientExecutor(CommSchedule schedule,
-                             ResilientOptions options = {})
-      : schedule_(std::move(schedule)), options_(options) {}
-
-  ResilientRunReport run(machine::Cm5Machine& machine) const {
-    return run_resilient_schedule(machine, schedule_, options_);
-  }
-
-  const CommSchedule& schedule() const noexcept { return schedule_; }
-  const ResilientOptions& options() const noexcept { return options_; }
-
- private:
-  CommSchedule schedule_;
-  ResilientOptions options_;
-};
 
 }  // namespace cm5::sched

@@ -252,8 +252,8 @@ struct StreamOptions {
   std::int32_t max_request_attempts = 2;
 
   // --- observability / control -------------------------------------------
-  /// Run sim::validate_trace over every batch and record violations in
-  /// the report (the delivery invariant gate).
+  /// Stream every batch's trace through a sim::TraceValidator and record
+  /// violations in the report (the delivery invariant gate).
   bool validate = true;
   /// When set, called with a checkpoint after every batch's accounting.
   std::function<void(const StreamCheckpoint&)> checkpoint_sink;
@@ -350,7 +350,7 @@ struct StreamReport {
   util::SimTime stream_makespan = 0;  ///< stream clock at drain
 
   std::vector<StreamRequestRecord> requests;  ///< by id, one per generated
-  /// validate_trace output over all batches ("batch B: <violation>"),
+  /// TraceValidator output over all batches ("batch B: <violation>"),
   /// plus stream-level delivery-invariant violations. Empty == healthy.
   std::vector<std::string> violations;
 

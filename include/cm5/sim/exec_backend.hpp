@@ -55,12 +55,6 @@ ExecutionModel default_execution_model();
 /// Always 1; kept only because benchmark/src records it in its config.
 std::int32_t execution_lanes();
 
-/// Fiber stack size in bytes: CM5_FIBER_STACK_KB when set (min 64 KiB),
-/// otherwise 256 KiB (1 MiB under AddressSanitizer, whose redzones
-/// inflate frames). Each stack is lazily committed by the OS, so large
-/// partitions reserve address space, not memory.
-std::size_t fiber_stack_bytes();
-
 /// Mechanism for running node contexts under the kernel's token
 /// protocol. One instance per Kernel::run(); not reusable.
 ///

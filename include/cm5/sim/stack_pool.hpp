@@ -19,9 +19,9 @@
 ///
 /// Every stack has one PROT_NONE guard page below its usable range, so
 /// an overflow faults instead of silently corrupting a neighbouring
-/// allocation. Stacks are cached per exact usable size (the size is a
-/// process-stable knob, see fiber_stack_bytes()); a request for a size
-/// with no cached entry maps a fresh stack.
+/// allocation. Stacks are cached per exact usable size (the fiber
+/// backend always asks for kFiberStackBytes, see sanitizer.hpp); a
+/// request for a size with no cached entry maps a fresh stack.
 
 namespace cm5::sim {
 

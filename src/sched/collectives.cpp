@@ -107,7 +107,8 @@ void all_reduce_sum(Node& node, std::span<double> values) {
   auto pack = [&](std::int32_t s_lo, std::int32_t s_hi) {
     const std::size_t lo = seg(s_lo), hi = seg(s_hi);
     std::vector<std::byte> out((hi - lo) * sizeof(double));
-    std::memcpy(out.data(), values.data() + lo, out.size());
+    // memcpy from an empty vector's null data() is undefined: skip it.
+    if (!out.empty()) std::memcpy(out.data(), values.data() + lo, out.size());
     return out;
   };
 
@@ -154,7 +155,9 @@ void all_reduce_sum(Node& node, std::span<double> values) {
     const std::size_t base = seg(their_lo);
     CM5_CHECK(msg.data.size() ==
               (seg(their_lo + (hi - lo)) - base) * sizeof(double));
-    std::memcpy(values.data() + base, msg.data.data(), msg.data.size());
+    if (!msg.data.empty()) {
+      std::memcpy(values.data() + base, msg.data.data(), msg.data.size());
+    }
     lo = merged_lo;
     hi = merged_hi;
   }

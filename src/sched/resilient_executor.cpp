@@ -4,14 +4,12 @@
 #include <array>
 #include <cmath>
 #include <cstddef>
-#include <cstdio>
-#include <cstring>
 #include <functional>
 #include <sstream>
-#include <stdexcept>
 #include <unordered_set>
 #include <vector>
 
+#include "checkpoint_digest.hpp"
 #include "cm5/sched/estimate.hpp"
 #include "cm5/sched/executor.hpp"
 #include "cm5/util/check.hpp"
@@ -22,16 +20,6 @@ namespace {
 
 constexpr std::byte kAckOk{1};
 constexpr std::byte kAckCorrupt{2};
-
-constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x00000100000001b3ULL;
-
-void mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffULL;
-    h *= kFnvPrime;
-  }
-}
 
 double to_unit(std::uint64_t x) noexcept {
   return static_cast<double>(x >> 11) * 0x1.0p-53;
@@ -154,12 +142,10 @@ class NodeSession {
   }
 
  private:
-  std::int32_t data_tag(std::int32_t step) const {
-    return opts_.data_tag_base + step;
+  static std::int32_t data_tag(std::int32_t step) {
+    return kDataTagBase + step;
   }
-  std::int32_t ack_tag(std::int32_t step) const {
-    return opts_.ack_tag_base + step;
-  }
+  static std::int32_t ack_tag(std::int32_t step) { return kAckTagBase + step; }
 
   NodeId lowest_live() const {
     for (NodeId i = 0; i < n_; ++i) {
@@ -171,9 +157,9 @@ class NodeSession {
   void begin_step(std::int32_t step) {
     const auto est = step_est_[static_cast<std::size_t>(step)];
     cur_est_ = est;
-    fixed_timeout_ = std::max(
-        opts_.min_timeout, static_cast<util::SimDuration>(
-                               opts_.timeout_factor * static_cast<double>(est)));
+    fixed_timeout_ = std::max(kMinTimeout, static_cast<util::SimDuration>(
+                                               kTimeoutFactor *
+                                               static_cast<double>(est)));
     const auto un = static_cast<std::size_t>(n_);
     expected_.assign(un, -1);
     copies_seen_.assign(un, 0);
@@ -202,9 +188,9 @@ class NodeSession {
     const RttEstimator& peer_est = peer_rtt_[static_cast<std::size_t>(peer)];
     const RttEstimator& est = peer_est.ready ? peer_est : global_rtt_;
     if (!est.ready) return fixed_timeout_;  // no samples yet: fall back
-    const double ratio = std::max(est.rto(), opts_.rto_floor_factor);
+    const double ratio = std::max(est.rto(), kRtoFloorFactor);
     const util::SimDuration t = std::max(
-        opts_.min_timeout,
+        kMinTimeout,
         static_cast<util::SimDuration>(ratio * static_cast<double>(cur_est_)));
     return std::min(t, fixed_timeout_);
   }
@@ -436,10 +422,10 @@ class NodeSession {
 std::uint64_t ledger_digest(const std::vector<NodeLedger>& ledgers,
                             std::int32_t step, std::int32_t n,
                             const std::vector<std::uint8_t>& dead) {
-  std::uint64_t h = kFnvBasis;
-  mix(h, static_cast<std::uint64_t>(step));
-  mix(h, static_cast<std::uint64_t>(n));
-  for (const std::uint8_t d : dead) mix(h, d);
+  digest::Fnv h;
+  h.mix(static_cast<std::uint64_t>(step));
+  h.mix(static_cast<std::uint64_t>(n));
+  for (const std::uint8_t d : dead) h.mix(d);
   const std::uint64_t limit = (static_cast<std::uint64_t>(step) + 1) *
                               static_cast<std::uint64_t>(n);
   std::vector<std::uint64_t> keys;
@@ -449,11 +435,11 @@ std::uint64_t ledger_digest(const std::vector<NodeLedger>& ledgers,
       if (k < limit) keys.push_back(k);
     }
     std::sort(keys.begin(), keys.end());
-    mix(h, keys.size());
-    for (const std::uint64_t k : keys) mix(h, k);
+    h.mix(keys.size());
+    for (const std::uint64_t k : keys) h.mix(k);
   }
-  if (h == 0) h = 0x9e3779b97f4a7c15ULL;  // reserve 0 for "not recorded"
-  return h;
+  // Reserve 0 for "not recorded".
+  return h.value() == 0 ? 0x9e3779b97f4a7c15ULL : h.value();
 }
 
 /// Hash of everything that determines a resilient run's trajectory:
@@ -462,43 +448,23 @@ std::uint64_t ledger_digest(const std::vector<NodeLedger>& ledgers,
 std::uint64_t configuration_digest(const CommSchedule& schedule,
                                    const ResilientOptions& options,
                                    const machine::Cm5Machine& machine) {
-  std::uint64_t h = kFnvBasis;
-  auto mix_double = [&](double d) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(d));
-    std::memcpy(&bits, &d, sizeof(bits));
-    mix(h, bits);
-  };
-  mix(h, static_cast<std::uint64_t>(schedule.nprocs()));
-  mix(h, static_cast<std::uint64_t>(schedule.num_steps()));
+  digest::Fnv h;
+  h.mix(static_cast<std::uint64_t>(schedule.nprocs()));
+  h.mix(static_cast<std::uint64_t>(schedule.num_steps()));
   for (std::int32_t step = 0; step < schedule.num_steps(); ++step) {
     for (NodeId p = 0; p < schedule.nprocs(); ++p) {
       for (const Op& op : schedule.ops(step, p)) {
-        mix(h, static_cast<std::uint64_t>(op.kind));
-        mix(h, static_cast<std::uint64_t>(op.peer));
-        mix(h, static_cast<std::uint64_t>(op.send_bytes));
-        mix(h, static_cast<std::uint64_t>(op.recv_bytes));
+        h.mix(static_cast<std::uint64_t>(op.kind));
+        h.mix(static_cast<std::uint64_t>(op.peer));
+        h.mix(static_cast<std::uint64_t>(op.send_bytes));
+        h.mix(static_cast<std::uint64_t>(op.recv_bytes));
       }
     }
   }
-  mix(h, static_cast<std::uint64_t>(options.max_attempts));
-  mix_double(options.timeout_factor);
-  mix(h, static_cast<std::uint64_t>(options.min_timeout));
-  mix(h, static_cast<std::uint64_t>(options.timeout_policy));
-  mix_double(options.rto_floor_factor);
-  mix(h, static_cast<std::uint64_t>(options.backoff_base));
-  mix(h, static_cast<std::uint64_t>(options.backoff_max));
-  mix_double(options.backoff_jitter);
-  mix(h, static_cast<std::uint64_t>(options.suspicion_rounds));
-  mix(h, static_cast<std::uint64_t>(options.data_tag_base));
-  mix(h, static_cast<std::uint64_t>(options.ack_tag_base));
-  const std::string plan = machine.fault_plan()
-                               ? machine.fault_plan()->to_json().dump()
-                               : std::string();
-  mix(h, plan.size());
-  for (const char c : plan) mix(h, static_cast<std::uint64_t>(
-                                    static_cast<unsigned char>(c)));
-  return h;
+  digest::mix_resilient_options(h, options);
+  h.mix_string(machine.fault_plan() ? machine.fault_plan()->to_json().dump()
+                                    : std::string());
+  return h.value();
 }
 
 }  // namespace
@@ -526,69 +492,35 @@ util::SimDuration resilient_backoff(const ResilientOptions& options,
 }
 
 util::json::Value ResilientCheckpoint::to_json() const {
-  using util::json::Value;
-  Value root = Value::object();
+  util::json::Value root = util::json::Value::object();
   root["nprocs"] = nprocs;
   root["num_steps"] = num_steps;
   root["steps_completed"] = steps_completed;
-  // Digests are full 64-bit values; JSON ints are signed, so hex strings.
-  char buf[19];
-  auto hex = [&](std::uint64_t v) {
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(v));
-    return std::string(buf);
-  };
-  root["config_digest"] = hex(config_digest);
-  Value digests = Value::array();
-  for (const std::uint64_t d : step_digests) digests.push_back(hex(d));
-  root["step_digests"] = std::move(digests);
-  Value dead = Value::array();
-  for (const NodeId d : dead_nodes) dead.push_back(d);
-  root["dead_nodes"] = std::move(dead);
-  Value keys = Value::array();
-  for (const std::uint64_t k : delivered_keys)
-    keys.push_back(static_cast<std::int64_t>(k));
-  root["delivered_keys"] = std::move(keys);
+  root["config_digest"] = digest::hex(config_digest);
+  root["step_digests"] = digest::hex_array(step_digests);
+  root["dead_nodes"] = digest::int_array(dead_nodes);
+  root["delivered_keys"] = digest::int_array(delivered_keys);
   return root;
 }
 
 ResilientCheckpoint ResilientCheckpoint::from_json(
     const util::json::Value& v) {
-  auto parse_hex = [](const std::string& s) {
-    return static_cast<std::uint64_t>(std::stoull(s, nullptr, 16));
-  };
   ResilientCheckpoint c;
-  // The json layer reports missing keys / type mismatches with assorted
-  // exception types; the documented contract here is std::runtime_error.
-  try {
+  digest::parse_checkpoint("malformed resilient checkpoint", [&] {
     c.nprocs = static_cast<std::int32_t>(v.at("nprocs").as_int());
     c.num_steps = static_cast<std::int32_t>(v.at("num_steps").as_int());
     c.steps_completed =
         static_cast<std::int32_t>(v.at("steps_completed").as_int());
-    c.config_digest = parse_hex(v.at("config_digest").as_string());
-    for (std::size_t i = 0; i < v.at("step_digests").size(); ++i) {
-      c.step_digests.push_back(
-          parse_hex(v.at("step_digests").at(i).as_string()));
-    }
-    for (std::size_t i = 0; i < v.at("dead_nodes").size(); ++i) {
-      c.dead_nodes.push_back(
-          static_cast<NodeId>(v.at("dead_nodes").at(i).as_int()));
-    }
-    for (std::size_t i = 0; i < v.at("delivered_keys").size(); ++i) {
-      c.delivered_keys.push_back(
-          static_cast<std::uint64_t>(v.at("delivered_keys").at(i).as_int()));
-    }
-  } catch (const std::runtime_error&) {
-    throw;
-  } catch (const std::exception& e) {
-    throw std::runtime_error(
-        std::string("malformed resilient checkpoint: ") + e.what());
-  }
-  if (c.nprocs <= 0 || c.num_steps < 0 || c.steps_completed < 0 ||
-      c.steps_completed > c.num_steps ||
-      c.step_digests.size() != static_cast<std::size_t>(c.steps_completed)) {
-    throw std::runtime_error("malformed resilient checkpoint");
-  }
+    c.config_digest = digest::parse_hex(v.at("config_digest"));
+    c.step_digests = digest::parse_hex_array(v.at("step_digests"));
+    c.dead_nodes = digest::parse_int_array<NodeId>(v.at("dead_nodes"));
+    c.delivered_keys =
+        digest::parse_int_array<std::uint64_t>(v.at("delivered_keys"));
+    return c.nprocs > 0 && c.num_steps >= 0 && c.steps_completed >= 0 &&
+           c.steps_completed <= c.num_steps &&
+           c.step_digests.size() ==
+               static_cast<std::size_t>(c.steps_completed);
+  });
   return c;
 }
 
@@ -600,16 +532,12 @@ ResilientRunReport run_resilient_schedule(machine::Cm5Machine& machine,
   CM5_CHECK_MSG(options.max_attempts >= 1, "max_attempts must be >= 1");
   CM5_CHECK_MSG(options.suspicion_rounds >= 1,
                 "suspicion_rounds must be >= 1");
-  CM5_CHECK_MSG(options.rto_floor_factor > 0.0,
-                "rto_floor_factor must be positive");
   CM5_CHECK_MSG(options.backoff_jitter >= 0.0 && options.backoff_jitter < 1.0,
                 "backoff_jitter must be in [0, 1)");
   CM5_CHECK_MSG(options.stop_after_step < schedule.num_steps(),
                 "stop_after_step beyond the schedule");
-  CM5_CHECK_MSG(options.data_tag_base < options.ack_tag_base,
-                "data tags must stay below ack tags");
   if (machine.fault_plan()) {
-    CM5_CHECK_MSG(options.ack_tag_base >= machine.fault_plan()->control_tag_floor,
+    CM5_CHECK_MSG(kAckTagBase >= machine.fault_plan()->control_tag_floor,
                   "ack tags must be fault-exempt (>= control_tag_floor)");
   }
 
@@ -643,14 +571,14 @@ ResilientRunReport run_resilient_schedule(machine::Cm5Machine& machine,
     hook = [&](std::int32_t step, NodeId firing) {
       const std::vector<std::uint8_t>& dead =
           ledgers[static_cast<std::size_t>(firing)].dead;
-      const std::uint64_t digest = ledger_digest(ledgers, step, n, dead);
+      const std::uint64_t state = ledger_digest(ledgers, step, n, dead);
       if (resume && step < resume->steps_completed &&
           resume->step_digests[static_cast<std::size_t>(step)] != 0) {
         CM5_CHECK_MSG(
-            digest == resume->step_digests[static_cast<std::size_t>(step)],
+            state == resume->step_digests[static_cast<std::size_t>(step)],
             "resume replay diverged from checkpoint digest chain");
       }
-      step_digests[static_cast<std::size_t>(step)] = digest;
+      step_digests[static_cast<std::size_t>(step)] = state;
       if (!options.checkpoint_sink) return;
       ResilientCheckpoint c;
       c.nprocs = n;
@@ -798,9 +726,7 @@ util::json::Value ResilientRunReport::to_json() const {
   root["makespan_ns"] = makespan;
   root["fault_free_makespan_ns"] = fault_free_makespan;
   root["makespan_overhead"] = makespan_overhead();
-  Value dead = Value::array();
-  for (const NodeId d : dead_nodes) dead.push_back(d);
-  root["dead_nodes"] = std::move(dead);
+  root["dead_nodes"] = digest::int_array(dead_nodes);
   Value lost = Value::array();
   for (const LostEdge& e : lost_edges) {
     Value edge = Value::object();

@@ -1,13 +1,11 @@
 #include "cm5/sched/stream.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "checkpoint_digest.hpp"
 #include "cm5/sim/metrics.hpp"
 #include "cm5/sim/trace.hpp"
 #include "cm5/util/check.hpp"
@@ -28,74 +26,29 @@ namespace cm5::sched {
 
 namespace {
 
-constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x00000100000001b3ULL;
-
-void mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffULL;
-    h *= kFnvPrime;
-  }
-}
-
-void mix_string(std::uint64_t& h, const std::string& s) {
-  mix(h, s.size());
-  for (const char c : s) {
-    mix(h, static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
-  }
-}
-
-std::string hex64(std::uint64_t v) {
-  char buf[19];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return std::string(buf);
-}
-
-std::uint64_t parse_hex64(const std::string& s) {
-  return static_cast<std::uint64_t>(std::stoull(s, nullptr, 16));
-}
-
 /// Hash of everything that determines a stream run's trajectory. Guards
 /// resume against configuration drift (a resumed stream must replay the
 /// exact same run).
 std::uint64_t stream_config_digest(const machine::Cm5Machine& machine,
                                    const StreamOptions& options) {
-  std::uint64_t h = kFnvBasis;
-  auto mix_double = [&](double d) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(d));
-    std::memcpy(&bits, &d, sizeof(bits));
-    mix(h, bits);
-  };
-  mix(h, static_cast<std::uint64_t>(machine.topology().num_nodes()));
-  mix_string(h, options.workload.to_json().dump());
-  mix(h, static_cast<std::uint64_t>(options.policy));
-  mix(h, options.tenant_weights.size());
+  digest::Fnv h;
+  h.mix(static_cast<std::uint64_t>(machine.topology().num_nodes()));
+  h.mix_string(options.workload.to_json().dump());
+  h.mix(static_cast<std::uint64_t>(options.policy));
+  h.mix(options.tenant_weights.size());
   for (const std::int32_t w : options.tenant_weights) {
-    mix(h, static_cast<std::uint64_t>(w));
+    h.mix(static_cast<std::uint64_t>(w));
   }
-  mix(h, static_cast<std::uint64_t>(options.max_batch_requests));
-  mix(h, static_cast<std::uint64_t>(options.max_inflight_edges));
-  mix(h, static_cast<std::uint64_t>(options.queue_high_watermark));
-  mix(h, static_cast<std::uint64_t>(options.queue_low_watermark));
-  mix(h, static_cast<std::uint64_t>(options.shed_watermark));
-  mix(h, options.shed_expired ? 1 : 0);
-  mix_string(h, options.fault_script.to_json().dump());
-  const ResilientOptions& r = options.resilient;
-  mix(h, static_cast<std::uint64_t>(r.max_attempts));
-  mix_double(r.timeout_factor);
-  mix(h, static_cast<std::uint64_t>(r.min_timeout));
-  mix(h, static_cast<std::uint64_t>(r.timeout_policy));
-  mix_double(r.rto_floor_factor);
-  mix(h, static_cast<std::uint64_t>(r.backoff_base));
-  mix(h, static_cast<std::uint64_t>(r.backoff_max));
-  mix_double(r.backoff_jitter);
-  mix(h, static_cast<std::uint64_t>(r.suspicion_rounds));
-  mix(h, static_cast<std::uint64_t>(r.data_tag_base));
-  mix(h, static_cast<std::uint64_t>(r.ack_tag_base));
-  mix(h, static_cast<std::uint64_t>(options.max_request_attempts));
-  return h;
+  h.mix(static_cast<std::uint64_t>(options.max_batch_requests));
+  h.mix(static_cast<std::uint64_t>(options.max_inflight_edges));
+  h.mix(static_cast<std::uint64_t>(options.queue_high_watermark));
+  h.mix(static_cast<std::uint64_t>(options.queue_low_watermark));
+  h.mix(static_cast<std::uint64_t>(options.shed_watermark));
+  h.mix(options.shed_expired ? 1 : 0);
+  h.mix_string(options.fault_script.to_json().dump());
+  digest::mix_resilient_options(h, options.resilient);
+  h.mix(static_cast<std::uint64_t>(options.max_request_attempts));
+  return h.value();
 }
 
 /// Rebases the stream-time fault script to batch-local time for a batch
@@ -231,57 +184,32 @@ const char* request_outcome_name(RequestOutcome outcome) {
 // --------------------------------------------------------------------------
 
 util::json::Value StreamCheckpoint::to_json() const {
-  using util::json::Value;
-  Value root = Value::object();
-  // Digests are full 64-bit values; JSON ints are signed, so hex strings.
-  root["config_digest"] = hex64(config_digest);
+  util::json::Value root = util::json::Value::object();
+  root["config_digest"] = digest::hex(config_digest);
   root["batches_completed"] = batches_completed;
   root["stream_clock_ns"] = stream_clock;
   root["requests_generated"] = requests_generated;
-  Value queue = Value::array();
-  for (const std::int64_t id : queue_ids) queue.push_back(id);
-  root["queue_ids"] = std::move(queue);
-  Value excised = Value::array();
-  for (const NodeId node : excised_nodes) excised.push_back(node);
-  root["excised_nodes"] = std::move(excised);
-  Value digests = Value::array();
-  for (const std::uint64_t d : batch_digests) digests.push_back(hex64(d));
-  root["batch_digests"] = std::move(digests);
+  root["queue_ids"] = digest::int_array(queue_ids);
+  root["excised_nodes"] = digest::int_array(excised_nodes);
+  root["batch_digests"] = digest::hex_array(batch_digests);
   return root;
 }
 
 StreamCheckpoint StreamCheckpoint::from_json(const util::json::Value& v) {
   StreamCheckpoint c;
-  // The json layer reports missing keys / type mismatches with assorted
-  // exception types; the documented contract here is std::runtime_error.
-  try {
-    c.config_digest = parse_hex64(v.at("config_digest").as_string());
+  digest::parse_checkpoint("malformed stream checkpoint", [&] {
+    c.config_digest = digest::parse_hex(v.at("config_digest"));
     c.batches_completed = v.at("batches_completed").as_int();
     c.stream_clock = v.at("stream_clock_ns").as_int();
     c.requests_generated = v.at("requests_generated").as_int();
-    for (std::size_t i = 0; i < v.at("queue_ids").size(); ++i) {
-      c.queue_ids.push_back(v.at("queue_ids").at(i).as_int());
-    }
-    for (std::size_t i = 0; i < v.at("excised_nodes").size(); ++i) {
-      c.excised_nodes.push_back(
-          static_cast<NodeId>(v.at("excised_nodes").at(i).as_int()));
-    }
-    for (std::size_t i = 0; i < v.at("batch_digests").size(); ++i) {
-      c.batch_digests.push_back(
-          parse_hex64(v.at("batch_digests").at(i).as_string()));
-    }
-  } catch (const std::runtime_error&) {
-    throw;
-  } catch (const std::exception& e) {
-    throw std::runtime_error(std::string("malformed stream checkpoint: ") +
-                             e.what());
-  }
-  if (c.batches_completed < 0 || c.stream_clock < 0 ||
-      c.requests_generated < 0 ||
-      c.batch_digests.size() !=
-          static_cast<std::size_t>(c.batches_completed)) {
-    throw std::runtime_error("malformed stream checkpoint");
-  }
+    c.queue_ids = digest::parse_int_array<std::int64_t>(v.at("queue_ids"));
+    c.excised_nodes = digest::parse_int_array<NodeId>(v.at("excised_nodes"));
+    c.batch_digests = digest::parse_hex_array(v.at("batch_digests"));
+    return c.batches_completed >= 0 && c.stream_clock >= 0 &&
+           c.requests_generated >= 0 &&
+           c.batch_digests.size() ==
+               static_cast<std::size_t>(c.batches_completed);
+  });
   return c;
 }
 
@@ -626,15 +554,16 @@ StreamReport run_stream(machine::Cm5Machine& machine,
     }
     ResilientOptions ropts = options.resilient;
     ropts.measure_fault_free_baseline = false;
-    sim::TraceRecorder recorder;
-    if (options.validate) ropts.trace = recorder.sink();
+    sim::TraceValidator validator(n);
+    if (options.validate) {
+      ropts.trace = [&](const sim::TraceEvent& e) { validator.on_event(e); };
+    }
     const ResilientRunReport rep =
         run_resilient_schedule(machine, combined, ropts);
     const util::SimTime batch_end = stream_clock + rep.makespan;
 
     if (options.validate) {
-      for (const std::string& v :
-           sim::validate_trace(recorder.events(), n, &rep.run)) {
+      for (const std::string& v : validator.finalize(&rep.run)) {
         report.violations.push_back("batch " + std::to_string(batch_index) +
                                     ": " + v);
       }
@@ -704,24 +633,24 @@ StreamReport run_stream(machine::Cm5Machine& machine,
     stream_clock = batch_end;
 
     // --- checkpoint / resume verification --------------------------------
-    std::uint64_t digest = kFnvBasis;
-    mix(digest, static_cast<std::uint64_t>(batch_index));
-    mix_string(digest, rep.to_json().dump());
-    mix(digest, static_cast<std::uint64_t>(stream_clock));
-    mix(digest, static_cast<std::uint64_t>(generator.produced()));
-    mix(digest, queue.size());
+    digest::Fnv h;
+    h.mix(static_cast<std::uint64_t>(batch_index));
+    h.mix_string(rep.to_json().dump());
+    h.mix(static_cast<std::uint64_t>(stream_clock));
+    h.mix(static_cast<std::uint64_t>(generator.produced()));
+    h.mix(queue.size());
     for (const QueueEntry& entry : queue) {
-      mix(digest, static_cast<std::uint64_t>(entry.req.id));
-      mix(digest, static_cast<std::uint64_t>(entry.req.attempt));
+      h.mix(static_cast<std::uint64_t>(entry.req.id));
+      h.mix(static_cast<std::uint64_t>(entry.req.attempt));
     }
     for (std::int32_t node = 0; node < n; ++node) {
-      mix(digest, dead[static_cast<std::size_t>(node)]);
+      h.mix(dead[static_cast<std::size_t>(node)]);
     }
-    digest_chain.push_back(digest);
+    digest_chain.push_back(h.value());
     if (resume &&
         batch_index < resume->batches_completed) {
       CM5_CHECK_MSG(
-          digest ==
+          digest_chain.back() ==
               resume->batch_digests[static_cast<std::size_t>(batch_index)],
           "stream resume replay diverged from checkpoint at batch " +
               std::to_string(batch_index));
@@ -869,9 +798,7 @@ util::json::Value StreamReport::to_json(bool full) const {
   root["retries"] = retries;
   root["recv_timeouts"] = recv_timeouts;
   root["request_retries"] = request_retries;
-  Value excised = Value::array();
-  for (const NodeId node : excised_nodes) excised.push_back(node);
-  root["excised_nodes"] = std::move(excised);
+  root["excised_nodes"] = digest::int_array(excised_nodes);
   root["excision_events"] = excision_events;
   root["backpressure_events"] = backpressure_events;
   root["backpressure_ns"] = backpressure_ns;

@@ -7,17 +7,6 @@
 
 #include "cm5/util/check.hpp"
 
-#if defined(__SANITIZE_ADDRESS__)
-#define CM5_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define CM5_ASAN 1
-#endif
-#endif
-#ifndef CM5_ASAN
-#define CM5_ASAN 0
-#endif
-
 namespace cm5::sim {
 
 std::unique_ptr<ExecutionBackend> make_fiber_backend();  // fiber_backend.cpp
@@ -40,15 +29,6 @@ ExecutionModel default_execution_model() {
     return ExecutionModel::kThreads;
   }
   return ExecutionModel::kFibers;
-}
-
-std::size_t fiber_stack_bytes() {
-  if (const char* v = std::getenv("CM5_FIBER_STACK_KB");
-      v != nullptr && v[0] != '\0') {
-    const long kb = std::atol(v);
-    if (kb >= 64) return static_cast<std::size_t>(kb) * 1024;
-  }
-  return CM5_ASAN ? (1u << 20) : (256u << 10);
 }
 
 namespace {

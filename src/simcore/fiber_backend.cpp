@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "cm5/sim/exec_backend.hpp"
+#include "cm5/sim/sanitizer.hpp"
 #include "cm5/util/check.hpp"
 #include "fiber_context.hpp"
 
@@ -46,7 +47,6 @@ class FiberBackend final : public ExecutionBackend {
 
   void launch(std::int32_t n, std::function<void(NodeId)> body) override {
     body_ = std::move(body);
-    const std::size_t stack_bytes = fiber_stack_bytes();
     fiber::adopt_host_context(driver_);
     contexts_.reserve(static_cast<std::size_t>(n));
     for (NodeId i = 0; i < n; ++i) {
@@ -56,7 +56,7 @@ class FiberBackend final : public ExecutionBackend {
       c->entry = [](FiberContext* ctx) {
         static_cast<FiberBackend*>(ctx->backend)->run(*ctx);
       };
-      fiber::create_fiber(*c, stack_bytes);
+      fiber::create_fiber(*c, kFiberStackBytes);
       contexts_.push_back(std::move(c));
     }
   }

@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "cm5/net/topology.hpp"
+#include "cm5/sim/sanitizer.hpp"
 #include "cm5/sim/stack_pool.hpp"
 
 /// \file fiber_context.hpp
@@ -18,28 +19,6 @@
 /// A fiber is pinned to the OS thread that first resumes it — the
 /// sanitizer handshakes are per-thread, and the fiber backend runs
 /// every fiber of a run on the thread that called Kernel::run().
-
-#if defined(__SANITIZE_ADDRESS__)
-#define CM5_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define CM5_ASAN 1
-#endif
-#endif
-#ifndef CM5_ASAN
-#define CM5_ASAN 0
-#endif
-
-#if defined(__SANITIZE_THREAD__)
-#define CM5_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define CM5_TSAN 1
-#endif
-#endif
-#ifndef CM5_TSAN
-#define CM5_TSAN 0
-#endif
 
 #if defined(__x86_64__)
 #define CM5_FIBER_ASM 1

@@ -3,18 +3,8 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include "cm5/sim/sanitizer.hpp"
 #include "cm5/util/check.hpp"
-
-#if defined(__SANITIZE_ADDRESS__)
-#define CM5_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define CM5_ASAN 1
-#endif
-#endif
-#ifndef CM5_ASAN
-#define CM5_ASAN 0
-#endif
 
 #if CM5_ASAN
 #include <sanitizer/asan_interface.h>

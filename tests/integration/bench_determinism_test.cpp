@@ -72,7 +72,6 @@ SweepArtifacts run_sweep(
   std::remove((dir + "/BENCH_" + bench_name + ".json").c_str());
   const EnvVar threads_env("CM5_BENCH_THREADS", std::to_string(threads).c_str());
   const EnvVar metrics_dir("CM5_BENCH_METRICS_DIR", dir.c_str());
-  const EnvVar metrics_on("CM5_BENCH_METRICS", "1");
 
   auto cells = make_cells();
   EXPECT_EQ(cells.size(), ids.size());

@@ -15,14 +15,14 @@ namespace {
 template <typename T>
 std::vector<std::byte> to_bytes(const std::vector<T>& v) {
   std::vector<std::byte> out(v.size() * sizeof(T));
-  std::memcpy(out.data(), v.data(), out.size());
+  if (!out.empty()) std::memcpy(out.data(), v.data(), out.size());
   return out;
 }
 
 template <typename T>
 std::vector<T> from_bytes(const std::vector<std::byte>& b) {
   std::vector<T> out(b.size() / sizeof(T));
-  std::memcpy(out.data(), b.data(), b.size());
+  if (!out.empty()) std::memcpy(out.data(), b.data(), b.size());
   return out;
 }
 

@@ -12,6 +12,7 @@
 #include "cm5/sched/complete_exchange.hpp"
 #include "cm5/sim/golden_guard.hpp"
 #include "cm5/sim/metrics.hpp"
+#include "cm5/sim/sanitizer.hpp"
 
 /// Giant-partition regression battery (`ctest -L giantn`): the paper's
 /// asymptotic claims checked at partition sizes the CM-5 never shipped
@@ -103,22 +104,12 @@ Cm5Machine giant_machine(std::int32_t nprocs) {
   return m;
 }
 
-/// ThreadSanitizer instrumentation multiplies giant-run wall time; the
-/// trend still gets checked at the sizes that fit the budget, and the
-/// 8192 goldens are covered by every other configuration.
-constexpr bool reduced_budget() {
-#if defined(__SANITIZE_THREAD__)
-  return true;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-  return true;
-#else
-  return false;
-#endif
-#else
-  return false;
-#endif
-}
+/// Sanitizers break the giant runs' budgets: ThreadSanitizer multiplies
+/// wall time, and AddressSanitizer's shadow memory alone is several times
+/// the RSS budget. The trend still gets checked at the sizes that fit,
+/// and the 8192 goldens and the RSS budget run in every non-sanitizer
+/// build.
+constexpr bool reduced_budget() { return CM5_ASAN || CM5_TSAN; }
 
 void check_golden(const std::string& name, const sim::RunResult& r) {
   const std::string text = summarize(r);

@@ -483,6 +483,12 @@ TEST(ResilientCheckpointTest, StoppedRunResumesToIdenticalReport) {
   ASSERT_NE(token, nullptr);
   EXPECT_EQ(token->steps_completed, 3);
   EXPECT_EQ(partial.steps_completed, 3);
+  // Pinned digest format: a checkpoint written by an earlier build must
+  // still resume, so these values change only with a format change.
+  const util::json::Value json = token->to_json();
+  EXPECT_EQ(json.at("config_digest").as_string(), "9f15129e3673307c");
+  EXPECT_EQ(json.at("step_digests").dump(),
+            R"(["f664d5b9c71c586d","c06830065aa3a22c","8828bffd16a1a3ef"])");
 
   ResilientOptions resume_options;
   resume_options.resume_from = token;

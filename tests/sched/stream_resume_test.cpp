@@ -9,6 +9,7 @@
 #include "cm5/sched/stream.hpp"
 #include "cm5/sim/exec_backend.hpp"
 #include "cm5/util/check.hpp"
+#include "cm5/util/json.hpp"
 #include "cm5/util/time.hpp"
 
 /// The stream determinism contract, enforced end to end:
@@ -76,6 +77,13 @@ TEST(StreamResume, KillAtEveryBatchBoundaryResumesBitIdentical) {
   options.checkpoint_sink = nullptr;
   ASSERT_EQ(static_cast<std::int64_t>(checkpoints.size()), baseline.batches);
   ASSERT_GE(baseline.batches, 3) << "scenario too small to kill mid-stream";
+  // Pinned digest format: a checkpoint written by an earlier build must
+  // still resume, so these values change only with a format change.
+  const util::json::Value last = checkpoints.back().to_json();
+  EXPECT_EQ(last.at("config_digest").as_string(), "0c6dba099601fecf");
+  EXPECT_EQ(last.at("batch_digests").dump(),
+            R"(["f5652bad17b5787c","7e5902a0c9bc4d84","8e723bbb5a403b64",)"
+            R"("56a5c01f655c2e82","82745e03b30ad16f","19e56a190e303b69"])");
 
   for (std::int64_t boundary = 1; boundary <= baseline.batches; ++boundary) {
     // Kill: run only `boundary` batches, taking the checkpoint there.

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <stdexcept>
 
 #include "cm5/net/topology.hpp"
@@ -12,7 +11,7 @@
 /// \file fiber_backend_test.cpp
 /// Stress and edge-case tests for the fiber execution backend: partition
 /// sizes far beyond what thread-per-node could launch comfortably, the
-/// timed-wait primitives on fibers, and the backend-selection knobs.
+/// timed-wait primitives on fibers, and backend selection.
 /// Under TSAN these all run on the thread backend (the pinning is itself
 /// asserted) — the fiber-specific coverage comes from the default and
 /// ASAN configurations.
@@ -42,15 +41,6 @@ TEST(FiberBackendTest, ModelSelectionAndCoercion) {
 TEST(FiberBackendTest, ToStringNamesAreStable) {
   EXPECT_STREQ(to_string(ExecutionModel::kFibers), "fibers");
   EXPECT_STREQ(to_string(ExecutionModel::kThreads), "threads");
-}
-
-TEST(FiberBackendTest, StackSizeKnobIsHonored) {
-  ASSERT_EQ(::setenv("CM5_FIBER_STACK_KB", "128", 1), 0);
-  EXPECT_EQ(fiber_stack_bytes(), 128u * 1024u);
-  // Values below the 64 KiB floor fall back to the default.
-  ASSERT_EQ(::setenv("CM5_FIBER_STACK_KB", "8", 1), 0);
-  EXPECT_GE(fiber_stack_bytes(), 64u * 1024u);
-  ASSERT_EQ(::unsetenv("CM5_FIBER_STACK_KB"), 0);
 }
 
 TEST(FiberBackendTest, FourThousandNodeBarrierAndRingSmoke) {
