@@ -26,7 +26,6 @@ Measured measured(machine::ObservedRun run, double wall_ms) {
   out.makespan = run.result.makespan;
   out.rate_solves = run.result.network.rate_solves;
   out.flows_refrozen = run.result.network.flows_refrozen;
-  out.heap_pops = run.result.network.heap_pops;
   out.context_switches = run.result.context_switches;
   out.metrics = std::move(run.metrics);
   out.violations = std::move(run.violations);
@@ -203,7 +202,6 @@ void MetricsEmitter::record(const std::string& id, const Measured& run,
   perf["wall_ms"] = deterministic_mode() ? 0.0 : run.wall_ms;
   perf["rate_solves"] = run.rate_solves;
   perf["flows_refrozen"] = run.flows_refrozen;
-  perf["heap_pops"] = run.heap_pops;
   perf["context_switches"] = run.context_switches;
   row["perf"] = std::move(perf);
   row["metrics"] = run.metrics.to_json();

@@ -32,24 +32,16 @@
 /// (Kernel::schedule_next, docs/MODEL.md §2). This matters because the
 /// paper's algorithms launch whole steps of flows simultaneously.
 ///
-/// Two performance-critical structures back this API (see docs/PERF.md):
-///
-/// * A whole-network max-min solver over persistent state: the
-///   flow→link adjacency, a FlowId-ordered active list and a list of the
-///   links that carry traffic, all maintained across solves, so a solve
-///   touches only loaded links and allocates nothing once warm. Flows are
-///   processed in FlowId order so the arithmetic matches the seed
-///   solve_max_min exactly; that solve is retained behind
-///   SolverMode::kOracle as a differential-testing reference.
-///
-/// * A lazy min-heap of projected completion times, so next_event() is a
-///   heap peek instead of a scan over every active flow. Entries are
-///   invalidated by a per-flow epoch counter: each re-solve bumps the
-///   epoch of the flows whose projection changed and pushes a fresh
-///   entry; stale entries are discarded when they surface at the top.
-///   next_event() reprojects the entries within a small window of the
-///   heap top fresh from the current time, so the times it returns are
-///   bit-identical to the original O(F) rescan (see fluid_network.cpp).
+/// Live flows sit in one vector in FlowId order (ids are monotonic, so
+/// start_flow appends and a completion batch is a stable erase). The
+/// max-min solve runs over that vector and persistent link state: the
+/// per-link flow counts and a list of the links that carry traffic, so a
+/// solve touches only loaded links and allocates nothing once warm. Flows
+/// are processed in FlowId order so the arithmetic matches the seed
+/// solve_max_min exactly; that solve is retained behind SolverMode::kOracle
+/// as a differential-testing reference. next_event() is a memoized scan
+/// of the flow vector; its answer only goes stale after a re-solve or a
+/// time advance, each of which already costs O(flows) (docs/PERF.md §3).
 
 namespace cm5::net {
 
@@ -75,8 +67,8 @@ struct NetworkStats {
   /// Flows re-frozen by progressive filling, summed over all solves (each
   /// solve re-freezes every active flow).
   std::int64_t flows_refrozen = 0;
-  /// Number of completion-heap pops (stale-entry discards included) — a
-  /// cost metric for the event-lookup path, reported in bench perf JSON.
+  /// Always 0: next_event() is a scan, so there is no completion heap to
+  /// pop. Kept only because the benchmark still reports it.
   std::int64_t heap_pops = 0;
 };
 
@@ -106,7 +98,7 @@ class FluidNetwork {
   std::vector<FlowId> advance_to(util::SimTime t);
 
   /// Number of currently active flows.
-  std::size_t active_flows() const noexcept { return active_count_; }
+  std::size_t active_flows() const noexcept { return flows_.size(); }
 
   /// Time of the latest start/advance/capacity change. next_event() never
   /// returns an earlier time, and a new flow may not start before it.
@@ -134,69 +126,36 @@ class FluidNetwork {
   const FatTreeTopology& topology() const noexcept { return topo_; }
 
  private:
-  /// Slot-based flow storage: completed flows free their slot for reuse,
-  /// so memory stays proportional to the peak number of concurrent flows.
-  struct Slot {
+  struct Flow {
     FlowId id = -1;
-    NodeId src = -1;
-    NodeId dst = -1;
     double bytes_remaining = 0.0;
     double rate = 0.0;
     /// Route links, copied inline at start_flow (topology route_into):
-    /// slot reuse never allocates and flow state holds no pointers into
-    /// topology-owned tables, which is what lets routes be computed on
-    /// demand instead of tabulated O(N²).
+    /// flow state holds no pointers into topology-owned tables, which is
+    /// what lets routes be computed on demand instead of tabulated O(N²).
     std::array<LinkId, kMaxRouteLinks> route_links{};
     std::uint8_t route_len = 0;
     std::span<const LinkId> route() const noexcept {
       return {route_links.data(), route_len};
     }
-    /// Invalidation counter for heap entries; bumped whenever the slot's
-    /// outstanding entry becomes wrong (new projection, flow retired).
-    std::uint64_t epoch = 0;
-    /// Time of this slot's valid heap entry; -1 (kNoHeapEntry) if none.
-    util::SimTime heap_time = -1;
-    bool live = false;
   };
-
-  struct HeapEntry {
-    util::SimTime time;
-    FlowId id;
-    std::uint32_t slot;
-    std::uint64_t epoch;
-  };
-
-  /// Min-heap ordering for std::push_heap/pop_heap (which build max-heaps).
-  static bool heap_later(const HeapEntry& a, const HeapEntry& b) noexcept {
-    return a.time > b.time;
-  }
 
   void resolve_rates();
   void resolve_oracle();
   /// The production solve: every active flow over every live link.
   void solve_all();
-  /// Progressive filling of the flows queued in fill_flows_ (slots, in
-  /// FlowId order) over live_links_.
+  /// Progressive filling of the flows queued in fill_flows_ (indices into
+  /// flows_, in FlowId order) over live_links_.
   void fill();
   /// Drops links whose flows all retired from live_links_ and zeroes
   /// their load.
   void sweep_live_links();
-  /// Recomputes a slot's projected completion and (if it changed) pushes
-  /// a fresh heap entry, invalidating the old one via the epoch.
-  void refresh_heap_entry(std::uint32_t si);
-  /// Drops invalid heap entries so the heap never outgrows the live set
-  /// by more than a constant factor.
-  void compact_heap();
-  bool heap_entry_valid(const HeapEntry& e) const;
-  /// Frees a completed flow's slot and drops it from its links' counts.
-  void retire_slot(std::uint32_t si);
   /// Moves fluid state (bytes + busy accounting) forward to time t.
   void progress_to(util::SimTime t);
 
   const FatTreeTopology& topo_;
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_slots_;
-  std::size_t active_count_ = 0;
+  /// Live flows in FlowId order.
+  std::vector<Flow> flows_;
   /// Live-flow count per link, maintained on flow start/retire so a
   /// solve never recounts routes.
   std::vector<std::int32_t> flows_on_link_;
@@ -207,10 +166,6 @@ class FluidNetwork {
   std::vector<std::uint8_t> link_listed_;
   std::vector<double> link_load_;  // bytes/s per link at current rates
   std::vector<double> capacity_scale_;  // degradation multipliers (1 = healthy)
-
-  /// Completion-time min-heap (std::push_heap/pop_heap on a vector so
-  /// compact_heap can filter in place).
-  std::vector<HeapEntry> heap_;
 
   /// Scratch for the production solver (persist across calls so a solve
   /// allocates nothing once warm).
@@ -223,23 +178,6 @@ class FluidNetwork {
   std::vector<double> fill_shares_;
   std::vector<std::uint32_t> link_pos_;
   std::vector<std::uint32_t> fill_flows_;  // per-round unfrozen worklist
-  /// Flows whose rate changed bits in the current solve — the only ones
-  /// whose heap projections need refreshing afterwards.
-  std::vector<std::uint32_t> changed_slots_;
-
-  /// Scratch for next_event's reprojection window: slots popped near the
-  /// heap top whose times are recomputed fresh before being re-pushed.
-  std::vector<std::uint32_t> reproject_scratch_;
-
-  /// Active flows in FlowId order (ids are monotonic, so push_back keeps
-  /// the order). Entries for retired flows — recognisable because the
-  /// slot was freed or reused under a new id — are swept out lazily at
-  /// the start of each solve_all.
-  struct ActiveRef {
-    FlowId id;
-    std::uint32_t slot;
-  };
-  std::vector<ActiveRef> active_order_;
 
   /// Memoized next_event() answer: the kernel peeks the next completion
   /// on every scheduling iteration, but the answer can only change when
@@ -249,7 +187,6 @@ class FluidNetwork {
 
   /// Scratch for the oracle solver, reused across calls so repeated
   /// whole-network solves stop reallocating routes/caps every time.
-  std::vector<std::uint32_t> oracle_order_;
   std::vector<FlowRoute> oracle_routes_;
   std::vector<double> oracle_caps_;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "cm5/net/maxmin.hpp"
 #include "cm5/util/check.hpp"
@@ -12,18 +13,6 @@ namespace {
 
 /// Residual below which a flow counts as complete; far below one packet.
 constexpr double kDoneEpsilonBytes = 1e-6;
-
-/// Sentinel for Slot::heap_time: no outstanding heap entry.
-constexpr util::SimTime kNoHeapEntry = -1;
-
-/// Maximum divergence (ns) between a cached heap projection and a fresh
-/// recompute of the same completion instant. Both describe the same
-/// real-valued time; they differ only by ceil discretization of the two
-/// anchor points (≤ 1 ns each) plus sub-ns float error. next_event pops
-/// everything within 2x this slack of the heap top and reprojects it
-/// fresh from now_, which keeps returned event times identical to a
-/// full O(F) rescan.
-constexpr util::SimTime kProjectionSlackNs = 2;
 
 /// solve_max_min's freeze tolerance: a flow freezes at the round share
 /// `s` if one of its links has a fair share <= s * kFreezeTolerance.
@@ -50,7 +39,7 @@ void FluidNetwork::set_solver_mode(SolverMode mode) {
   // A pending re-solve with no active flows is harmless (both solvers
   // just zero the loads of links whose flows retired), so idle == no
   // active flows.
-  CM5_CHECK_MSG(active_count_ == 0,
+  CM5_CHECK_MSG(flows_.empty(),
                 "solver mode can only change while the network is idle");
   solver_mode_ = mode;
 }
@@ -75,8 +64,7 @@ void FluidNetwork::progress_to(util::SimTime t) {
   if (dt > 0.0) {
     next_cache_valid_ = false;
     if (rates_dirty_) resolve_rates();
-    for (Slot& f : slots_) {
-      if (!f.live) continue;
+    for (Flow& f : flows_) {
       f.bytes_remaining = std::max(0.0, f.bytes_remaining - f.rate * dt);
     }
     // Only links on a live flow's route can carry load: rates were just
@@ -108,26 +96,11 @@ FlowId FluidNetwork::start_flow(util::SimTime now, NodeId src, NodeId dst,
   progress_to(now);
 
   const FlowId id = next_id_++;
-  std::uint32_t si;
-  if (!free_slots_.empty()) {
-    si = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    si = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  Slot& f = slots_[si];
+  Flow& f = flows_.emplace_back();  // ids grow: flows_ stays sorted
   f.id = id;
-  f.src = src;
-  f.dst = dst;
   f.bytes_remaining = wire_bytes;
-  f.rate = 0.0;
   f.route_len = static_cast<std::uint8_t>(
       topo_.route_into(src, dst, f.route_links.data()));
-  f.heap_time = kNoHeapEntry;
-  f.live = true;
-  ++active_count_;
-  active_order_.push_back(ActiveRef{id, si});  // ids grow: stays sorted
 
   rates_dirty_ = true;
   ++stats_.flows_started;
@@ -144,41 +117,6 @@ FlowId FluidNetwork::start_flow(util::SimTime now, NodeId src, NodeId dst,
   return id;
 }
 
-bool FluidNetwork::heap_entry_valid(const HeapEntry& e) const {
-  const Slot& f = slots_[e.slot];
-  return f.live && f.id == e.id && f.epoch == e.epoch;
-}
-
-void FluidNetwork::refresh_heap_entry(std::uint32_t si) {
-  Slot& f = slots_[si];
-  util::SimTime t;
-  if (f.bytes_remaining <= kDoneEpsilonBytes) {
-    t = now_;
-  } else if (f.rate <= 0.0) {
-    // Fully blocked flow: no projected completion. Invalidate any
-    // outstanding entry so the heap reflects "cannot finish".
-    if (f.heap_time != kNoHeapEntry) {
-      ++f.epoch;
-      f.heap_time = kNoHeapEntry;
-    }
-    return;
-  } else {
-    t = now_ + util::transfer_time(f.bytes_remaining, f.rate);
-  }
-  if (f.heap_time == t) return;  // outstanding entry is already right
-  ++f.epoch;
-  f.heap_time = t;
-  heap_.push_back(HeapEntry{t, f.id, si, f.epoch});
-  std::push_heap(heap_.begin(), heap_.end(), heap_later);
-}
-
-void FluidNetwork::compact_heap() {
-  if (heap_.size() <= 64 || heap_.size() <= 4 * active_count_ + 64) return;
-  std::erase_if(heap_,
-                [this](const HeapEntry& e) { return !heap_entry_valid(e); });
-  std::make_heap(heap_.begin(), heap_.end(), heap_later);
-}
-
 void FluidNetwork::resolve_rates() {
   if (!rates_dirty_) return;
   next_cache_valid_ = false;
@@ -187,7 +125,6 @@ void FluidNetwork::resolve_rates() {
   } else {
     solve_all();
   }
-  compact_heap();
   rates_dirty_ = false;
   ++stats_.rate_solves;
 }
@@ -205,20 +142,10 @@ void FluidNetwork::sweep_live_links() {
 }
 
 void FluidNetwork::solve_all() {
-  // Sweep the active list: drop retired entries (freed or reused slots)
-  // in place. FlowIds are monotonic and the sweep is stable, so the list
-  // stays in FlowId order — the order the reference solve processes
+  // flows_ is in FlowId order, the order the reference solve processes
   // flows in.
-  changed_slots_.clear();
-  std::size_t live_count = 0;
-  fill_flows_.clear();
-  for (const ActiveRef ref : active_order_) {
-    const Slot& f = slots_[ref.slot];
-    if (!f.live || f.id != ref.id) continue;
-    active_order_[live_count++] = ref;
-    fill_flows_.push_back(ref.slot);
-  }
-  active_order_.resize(live_count);
+  fill_flows_.resize(flows_.size());
+  std::iota(fill_flows_.begin(), fill_flows_.end(), 0u);
   sweep_live_links();
   fill();
 
@@ -227,19 +154,11 @@ void FluidNetwork::solve_all() {
   for (LinkId l : live_links_) {
     link_load_[static_cast<std::size_t>(l)] = 0.0;
   }
-  for (const ActiveRef ref : active_order_) {
-    const Slot& f = slots_[ref.slot];
+  for (const Flow& f : flows_) {
     for (LinkId l : f.route()) {
       link_load_[static_cast<std::size_t>(l)] += f.rate;
     }
   }
-  // Refresh projections only for flows whose rate actually changed bits.
-  // A flow whose rate is bit-unchanged progressed linearly at that rate
-  // since its entry was pushed, so the cached projection still describes
-  // the same real-valued completion instant and stays within
-  // kProjectionSlackNs of a fresh one — exactly the invariant
-  // next_event()'s reprojection window is built on.
-  for (const std::uint32_t si : changed_slots_) refresh_heap_entry(si);
 }
 
 void FluidNetwork::fill() {
@@ -295,8 +214,8 @@ void FluidNetwork::fill() {
     bool froze_any = false;
     std::size_t wf = 0;
     for (std::size_t i = 0; i < unfrozen; ++i) {
-      const std::uint32_t si = fill_flows_[i];
-      Slot& f = slots_[si];
+      const std::uint32_t fi = fill_flows_[i];
+      Flow& f = flows_[fi];
       bool bottlenecked = false;
       for (LinkId l : f.route()) {
         if (link_share_[static_cast<std::size_t>(l)] <= tol) {
@@ -305,13 +224,10 @@ void FluidNetwork::fill() {
         }
       }
       if (!bottlenecked) {
-        fill_flows_[wf++] = si;
+        fill_flows_[wf++] = fi;
         continue;
       }
-      if (f.rate != share) {
-        f.rate = share;
-        changed_slots_.push_back(si);
-      }
+      f.rate = share;
       froze_any = true;
       for (LinkId l : f.route()) {
         const auto li = static_cast<std::size_t>(l);
@@ -335,122 +251,50 @@ void FluidNetwork::resolve_oracle() {
   // differential testing of the incremental path. Scratch vectors are
   // members so repeated solves allocate nothing once warm.
   sweep_live_links();
-  oracle_order_.clear();
-  oracle_order_.reserve(active_count_);
-  for (std::uint32_t si = 0; si < slots_.size(); ++si) {
-    if (slots_[si].live) oracle_order_.push_back(si);
-  }
-  std::sort(oracle_order_.begin(), oracle_order_.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              return slots_[a].id < slots_[b].id;
-            });
   oracle_caps_.resize(static_cast<std::size_t>(topo_.num_links()));
   for (std::int32_t l = 0; l < topo_.num_links(); ++l) {
     oracle_caps_[static_cast<std::size_t>(l)] =
         topo_.link(l).capacity * capacity_scale_[static_cast<std::size_t>(l)];
   }
   oracle_routes_.clear();
-  oracle_routes_.reserve(oracle_order_.size());
-  for (std::uint32_t si : oracle_order_) {
-    oracle_routes_.push_back(FlowRoute{slots_[si].route()});
-  }
+  for (const Flow& f : flows_) oracle_routes_.push_back(FlowRoute{f.route()});
   const std::vector<double> rates = solve_max_min(oracle_routes_, oracle_caps_);
-  stats_.flows_refrozen += static_cast<std::int64_t>(oracle_order_.size());
+  stats_.flows_refrozen += static_cast<std::int64_t>(flows_.size());
   std::fill(link_load_.begin(), link_load_.end(), 0.0);
-  for (std::size_t i = 0; i < oracle_order_.size(); ++i) {
-    Slot& f = slots_[oracle_order_[i]];
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    Flow& f = flows_[i];
     f.rate = rates[i];
     for (LinkId l : f.route()) {
       link_load_[static_cast<std::size_t>(l)] += f.rate;
     }
   }
-  for (std::uint32_t si : oracle_order_) refresh_heap_entry(si);
 }
 
 std::optional<util::SimTime> FluidNetwork::next_event() {
-  if (active_count_ == 0) return std::nullopt;
+  if (flows_.empty()) return std::nullopt;
   resolve_rates();
   // The kernel peeks this on every scheduling iteration; the answer can
-  // only change when time advances or rates are re-solved.
-  if (next_cache_valid_) return next_cache_;
-  // The contract (inherited from the pre-heap implementation, and relied
-  // on for bitwise reproducibility) is that the returned time equals
+  // only change when time advances or rates are re-solved, and each of
+  // those already walked every flow, so a scan on a cache miss adds no
+  // asymptotic cost. The returned time is, for reproducibility,
   //   min over active flows of: now_ + transfer_time(bytes_remaining, rate)
-  // computed *fresh at this call*. A cached heap projection was ceil()ed
-  // at an earlier now_ with larger bytes_remaining; it describes the same
-  // real-valued completion instant but its rounding can land within
-  // kProjectionSlackNs of the fresh value on either side. So: pop every
-  // valid entry whose cached time is within 2x that slack of the top,
-  // recompute those projections fresh, re-push them, and return the fresh
-  // minimum. No entry outside the window can beat it, because cached and
-  // fresh times differ by at most the slack.
-  for (;;) {
-    while (!heap_.empty() && !heap_entry_valid(heap_.front())) {
-      std::pop_heap(heap_.begin(), heap_.end(), heap_later);
-      heap_.pop_back();
-      ++stats_.heap_pops;
+  // computed fresh at this call. A flow blocked on a stalled link (rate 0
+  // with bytes left) cannot finish and does not count; if every flow is
+  // blocked the answer is nullopt.
+  if (next_cache_valid_) return next_cache_;
+  util::SimTime best = util::kTimeNever;
+  for (const Flow& f : flows_) {
+    if (f.bytes_remaining <= kDoneEpsilonBytes) {
+      best = std::min(best, now_);
+    } else if (f.rate > 0.0) {
+      best = std::min(best,
+                      now_ + util::transfer_time(f.bytes_remaining, f.rate));
     }
-    if (heap_.empty()) {
-      // Every active flow is blocked on a stalled link; nothing can
-      // finish.
-      next_cache_ = std::nullopt;
-      next_cache_valid_ = true;
-      return next_cache_;
-    }
-    const util::SimTime window_end =
-        heap_.front().time + 2 * kProjectionSlackNs;
-    reproject_scratch_.clear();
-    while (!heap_.empty()) {
-      const HeapEntry e = heap_.front();
-      if (!heap_entry_valid(e)) {
-        std::pop_heap(heap_.begin(), heap_.end(), heap_later);
-        heap_.pop_back();
-        ++stats_.heap_pops;
-        continue;
-      }
-      if (e.time > window_end) break;
-      std::pop_heap(heap_.begin(), heap_.end(), heap_later);
-      heap_.pop_back();
-      ++stats_.heap_pops;
-      reproject_scratch_.push_back(e.slot);
-    }
-    util::SimTime best = util::kTimeNever;
-    for (const std::uint32_t si : reproject_scratch_) {
-      Slot& f = slots_[si];
-      ++f.epoch;  // the popped entry is gone; invalidate its cache record
-      if (f.rate <= 0.0 && f.bytes_remaining > kDoneEpsilonBytes) {
-        f.heap_time = kNoHeapEntry;  // blocked; re-enters on next resolve
-        continue;
-      }
-      const util::SimTime fresh =
-          f.bytes_remaining <= kDoneEpsilonBytes
-              ? now_
-              : now_ + util::transfer_time(f.bytes_remaining, f.rate);
-      f.heap_time = fresh;
-      heap_.push_back(HeapEntry{fresh, f.id, si, f.epoch});
-      std::push_heap(heap_.begin(), heap_.end(), heap_later);
-      best = std::min(best, fresh);
-    }
-    if (best != util::kTimeNever) {
-      next_cache_ = best;
-      next_cache_valid_ = true;
-      return next_cache_;
-    }
-    // Every candidate in the window was blocked (possible only in exotic
-    // fault interleavings); retry against the remaining entries.
   }
-}
-
-void FluidNetwork::retire_slot(std::uint32_t si) {
-  Slot& f = slots_[si];
-  for (LinkId l : f.route()) {
-    --flows_on_link_[static_cast<std::size_t>(l)];
-  }
-  f.live = false;
-  ++f.epoch;  // invalidate any outstanding heap entry
-  f.heap_time = kNoHeapEntry;
-  --active_count_;
-  free_slots_.push_back(si);
+  next_cache_ = best == util::kTimeNever ? std::nullopt
+                                         : std::optional<util::SimTime>(best);
+  next_cache_valid_ = true;
+  return next_cache_;
 }
 
 std::vector<FlowId> FluidNetwork::advance_to(util::SimTime t) {
@@ -458,16 +302,16 @@ std::vector<FlowId> FluidNetwork::advance_to(util::SimTime t) {
   resolve_rates();
   progress_to(t);
 
+  // A stable erase over the FlowId-ordered vector: the done ids come out
+  // sorted and the survivors keep their order.
   std::vector<FlowId> done;
-  for (std::uint32_t si = 0; si < slots_.size(); ++si) {
-    const Slot& f = slots_[si];
-    if (f.live && f.bytes_remaining <= kDoneEpsilonBytes) {
-      done.push_back(f.id);
-      retire_slot(si);
-    }
-  }
+  std::erase_if(flows_, [this, &done](const Flow& f) {
+    if (f.bytes_remaining > kDoneEpsilonBytes) return false;
+    done.push_back(f.id);
+    for (LinkId l : f.route()) --flows_on_link_[static_cast<std::size_t>(l)];
+    return true;
+  });
   if (!done.empty()) {
-    std::sort(done.begin(), done.end());
     stats_.flows_completed += static_cast<std::int64_t>(done.size());
     rates_dirty_ = true;
   }
@@ -476,11 +320,12 @@ std::vector<FlowId> FluidNetwork::advance_to(util::SimTime t) {
 
 double FluidNetwork::flow_rate(FlowId id) {
   resolve_rates();
-  for (const Slot& f : slots_) {
-    if (f.live && f.id == id) return f.rate;
-  }
-  CM5_CHECK_MSG(false, "flow_rate on a flow that is not active");
-  return 0.0;
+  const auto it = std::lower_bound(
+      flows_.begin(), flows_.end(), id,
+      [](const Flow& f, FlowId key) { return f.id < key; });
+  CM5_CHECK_MSG(it != flows_.end() && it->id == id,
+                "flow_rate on a flow that is not active");
+  return it->rate;
 }
 
 }  // namespace cm5::net

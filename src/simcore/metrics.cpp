@@ -133,6 +133,10 @@ RunMetrics analyze_batch(const std::vector<TraceEvent>& events,
   // feeds ordered output is sorted once at the end so results stay
   // byte-identical to the old std::map-based pass.
   std::unordered_map<MsgKey, MsgCounts, MsgKeyHash> messages;
+  // Start times of in-flight transfers per key, FIFO: the kernel matches
+  // and completes equal-key transfers in posting order.
+  std::unordered_map<MsgKey, std::deque<util::SimTime>, MsgKeyHash>
+      open_starts;
   std::unordered_map<std::int32_t, StepMetrics> steps;
   std::unordered_map<std::pair<std::int32_t, net::NodeId>, std::int32_t,
                      Int32PairHash>
@@ -223,7 +227,7 @@ RunMetrics analyze_batch(const std::vector<TraceEvent>& events,
         MsgCounts& c = messages[{e.node, e.peer, e.tag}];
         ++c.started;
         c.bytes_started += e.bytes;
-        c.open_starts.push_back(e.time);
+        open_starts[{e.node, e.peer, e.tag}].push_back(e.time);
         break;
       }
       case Kind::TransferComplete: {
@@ -231,9 +235,10 @@ RunMetrics analyze_batch(const std::vector<TraceEvent>& events,
         MsgCounts& c = messages[{e.node, e.peer, e.tag}];
         ++c.completed;
         c.bytes_completed += e.bytes;
-        if (!c.open_starts.empty()) {
-          const util::SimTime start = c.open_starts.front();
-          c.open_starts.pop_front();
+        const auto open = open_starts.find({e.node, e.peer, e.tag});
+        if (open != open_starts.end() && !open->second.empty()) {
+          const util::SimTime start = open->second.front();
+          open->second.pop_front();
           for (const net::NodeId endpoint : {e.node, e.peer}) {
             if (in_range(endpoint, nprocs)) {
               port_intervals[static_cast<std::size_t>(endpoint)]

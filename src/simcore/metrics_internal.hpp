@@ -2,8 +2,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "cm5/net/topology.hpp"
@@ -68,10 +68,10 @@ struct MsgCounts {
   std::int64_t bytes_posted = 0;
   std::int64_t bytes_started = 0;
   std::int64_t bytes_completed = 0;
-  /// Start times of in-flight transfers, FIFO — the kernel matches and
-  /// completes equal-key transfers in posting order.
-  std::deque<util::SimTime> open_starts;
 };
+// One MsgCounts exists per distinct message key in every validator, so it
+// must stay plain counters: an allocating member would cost every key.
+static_assert(std::is_trivially_destructible_v<MsgCounts>);
 
 /// 64-bit mix (splitmix64 finalizer) for composing hash keys.
 inline std::size_t hash_mix(std::uint64_t x) noexcept {

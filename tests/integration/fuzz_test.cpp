@@ -250,8 +250,8 @@ TEST_P(FuzzTest, IncrementalSolverMatchesOracle) {
   // drive two networks — one incremental (the production path), one using
   // the from-scratch oracle solve — through an identical randomized
   // sequence of flow starts, partial/full advances and link faults
-  // (degraded, dead and restored links), and require identical events and
-  // rates within 1e-9 relative after every operation. Each operation is
+  // (degraded, dead and restored links), and require bit-identical events
+  // and rates after every operation. Each operation is
   // one "case": 12 seeds x 90 ops >= 1000 cases across the suite.
   const std::uint64_t seed = GetParam();
   util::Rng rng(seed * 7919 + 3);
@@ -291,14 +291,8 @@ TEST_P(FuzzTest, IncrementalSolverMatchesOracle) {
       const auto ev_ora = ora.next_event();
       ASSERT_EQ(ev_inc.has_value(), ev_ora.has_value());
       if (ev_inc.has_value()) {
-        // Projections may differ by 1 ns: the incremental solver keeps a
-        // flow's cached absolute projection when its rate is unchanged,
-        // the oracle recomputes it after partial progress, and the two
-        // ceil-roundings can land one tick apart. Fluid state (bytes,
-        // rates) is identical — asserted below — so completions agree.
-        ASSERT_LE(std::abs(*ev_inc - *ev_ora), 1)
-            << "seed " << seed << " op " << op;
-        util::SimTime target = std::min(*ev_inc, *ev_ora);
+        ASSERT_EQ(*ev_inc, *ev_ora) << "seed " << seed << " op " << op;
+        util::SimTime target = *ev_inc;
         if (rng.next_below(2) == 0 && target > t) {
           target = t + (target - t) / 2;  // partial advance, no completion
         }
@@ -322,8 +316,7 @@ TEST_P(FuzzTest, IncrementalSolverMatchesOracle) {
     for (const net::FlowId id : live) {
       const double ra = inc.flow_rate(id);
       const double rb = ora.flow_rate(id);
-      ASSERT_NEAR(ra, rb, 1e-9 * std::max(1.0, std::abs(rb)))
-          << "seed " << seed << " op " << op << " flow " << id;
+      ASSERT_EQ(ra, rb) << "seed " << seed << " op " << op << " flow " << id;
     }
     ++cases;
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cm5/util/check.hpp"
 #include "cm5/util/time.hpp"
 
@@ -100,6 +102,25 @@ TEST(FluidTest, EarlyFinisherFreesBandwidth) {
   EXPECT_EQ(done.size(), 1u);
 }
 
+TEST(FluidTest, SameInstantCompletionsComeBackInFlowIdOrderAfterReuse) {
+  FatTreeTopology topo(FatTreeConfig::cm5(32));
+  FluidNetwork net(topo);
+  // Disjoint in-cluster pairs, 20 MB/s each. Flows 0 and 1 finish at
+  // 1 ms; flows 3 and 4 start then, on the storage 0 and 1 freed, and
+  // finish at 3 ms together with flow 2.
+  ASSERT_EQ(net.start_flow(0, 0, 1, 20000.0), 0);
+  ASSERT_EQ(net.start_flow(0, 2, 3, 20000.0), 1);
+  ASSERT_EQ(net.start_flow(0, 4, 5, 60000.0), 2);
+  EXPECT_EQ(net.advance_to(util::from_ms(1)), (std::vector<FlowId>{0, 1}));
+  ASSERT_EQ(net.start_flow(util::from_ms(1), 0, 1, 40000.0), 3);
+  ASSERT_EQ(net.start_flow(util::from_ms(1), 2, 3, 40000.0), 4);
+  const auto t = net.next_event();
+  ASSERT_TRUE(t.has_value());
+  EXPECT_EQ(*t, util::from_ms(3));
+  EXPECT_EQ(net.advance_to(*t), (std::vector<FlowId>{2, 3, 4}));
+  EXPECT_EQ(net.active_flows(), 0u);
+}
+
 TEST(FluidTest, ZeroByteFlowCompletesImmediately) {
   FatTreeTopology topo(FatTreeConfig::cm5(32));
   FluidNetwork net(topo);
@@ -190,8 +211,8 @@ TEST(FluidTest, DegradedLinkSlowsAndRestores) {
   auto t = net.next_event();
   ASSERT_TRUE(t.has_value());
   EXPECT_EQ(*t, util::from_ms(2));
-  // Restore at 1 ms (10000 bytes left): heap entry must be re-projected
-  // to 1 ms + 10000 B / 20 MB/s = 1.5 ms, not the stale 2 ms.
+  // Restore at 1 ms (10000 bytes left): the next event must follow the
+  // restored rate to 1 ms + 10000 B / 20 MB/s = 1.5 ms, not the stale 2 ms.
   net.advance_to(util::from_ms(1));
   net.set_link_capacity_scale(util::from_ms(1), topo.inject_link(0), 1.0);
   t = net.next_event();

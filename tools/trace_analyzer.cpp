@@ -169,22 +169,19 @@ int cmd_show(const std::vector<std::string>& files) {
     }
     TextTable table({"row", "makespan (ms)", "compute", "send wait",
                      "recv wait", "barrier", "steps", "max pending",
-                     "wall (ms)", "solves", "refrozen", "heap pops"});
+                     "wall (ms)", "solves", "refrozen"});
     for (const RowView& row : rows_of(file)) {
-      std::string wall = "-", solves = "-", pops = "-";
+      std::string wall = "-", solves = "-";
       if (row.perf != nullptr) {
         wall = TextTable::fmt(
             row.perf->get("wall_ms", Value(0.0)).as_double(), 1);
         solves = std::to_string(
             row.perf->get("rate_solves", Value(std::int64_t{0})).as_int());
-        pops = std::to_string(
-            row.perf->get("heap_pops", Value(std::int64_t{0})).as_int());
       }
       const std::string refrozen = refrozen_of(row);
       if (row.metrics == nullptr) {
         table.add_row({row.id, TextTable::fmt(ms(row.makespan_ns), 3), "-",
-                       "-", "-", "-", "-", "-", wall, solves, refrozen,
-                       pops});
+                       "-", "-", "-", "-", "-", wall, solves, refrozen});
         continue;
       }
       const Value& m = *row.metrics;
@@ -199,7 +196,7 @@ int cmd_show(const std::vector<std::string>& files) {
            std::to_string(m.get("contention", Value())
                               .get("max_pending", Value(std::int64_t{0}))
                               .as_int()),
-           wall, solves, refrozen, pops});
+           wall, solves, refrozen});
     }
     std::fputs(table.render().c_str(), stdout);
     std::printf("\n");
