@@ -172,6 +172,9 @@ class NodeHandle {
  private:
   friend class Kernel;
   NodeHandle(Kernel* kernel, NodeId id) : kernel_(kernel), id_(id) {}
+  void send_impl(NodeId dst, std::int32_t tag, std::int64_t user_bytes,
+                 std::int64_t wire_bytes, util::SimDuration latency,
+                 std::vector<std::byte> payload, bool async);
   std::optional<Message> receive_impl(NodeId src, std::int32_t tag,
                                       std::optional<util::SimDuration> timeout);
   Kernel* kernel_;
@@ -229,6 +232,14 @@ class Kernel {
 
   enum class NodeStatus : std::uint8_t { Runnable, Blocked, Done };
 
+  enum class TransferKind : std::uint8_t {
+    Sync,   ///< blocking send: sender wakes at completion
+    Async,  ///< non-blocking send: only async accounting on the sender
+    Swap,   ///< one direction of a full-duplex exchange
+  };
+
+  /// A posted, not yet matched outgoing message. Queued sends match in
+  /// deque (posting) order.
   struct PendingSend {
     NodeId src;
     std::int32_t tag;
@@ -237,8 +248,7 @@ class Kernel {
     util::SimDuration latency;
     std::vector<std::byte> payload;
     util::SimTime post_time;
-    bool async;
-    std::int64_t seq;  ///< matching order among equal (src,dst,tag)
+    TransferKind kind;
   };
 
   struct PendingRecv {
@@ -247,12 +257,9 @@ class Kernel {
     util::SimTime post_time;
     /// Absolute timeout deadline, if the receive was posted timed.
     std::optional<util::SimTime> deadline;
-  };
-
-  enum class TransferKind : std::uint8_t {
-    Sync,   ///< blocking send: sender wakes at completion
-    Async,  ///< non-blocking send: only async accounting on the sender
-    Swap,   ///< one direction of a full-duplex exchange
+    /// The matching rule: does this receive's (src, tag) filter accept a
+    /// send from `src` carrying `tag`?
+    bool accepts(NodeId src, std::int32_t tag) const noexcept;
   };
 
   struct Transfer {
@@ -270,15 +277,10 @@ class Kernel {
     std::optional<PendingRecv> recv_info;
   };
 
+  /// An unmatched swap: `send` (kind Swap) waits for `peer`'s swap back.
   struct PendingSwap {
-    NodeId poster;
     NodeId peer;
-    std::int32_t tag;
-    std::int64_t user_bytes;
-    std::int64_t wire_bytes;
-    util::SimDuration latency;
-    std::vector<std::byte> payload;
-    util::SimTime post_time;
+    PendingSend send;
   };
 
   struct QueuedEvent {
@@ -385,19 +387,44 @@ class Kernel {
   /// OS thread would be UB anyway.
   std::unique_lock<std::mutex> exec_lock();
   void yield(std::unique_lock<std::mutex>& lock, NodeId me);
+  /// First half of every blocking wait: marks `me` Blocked (with the
+  /// deadlock-report label and peer) and drops its token. A wake between
+  /// this and park() (a global op completed by `me` itself) stands.
+  void mark_blocked(NodeId me, const char* label, NodeId peer);
+  /// Second half: runs the scheduler until `me` holds the token again,
+  /// throws if the run aborted or `me` was killed, and clears the label.
+  void park(std::unique_lock<std::mutex>& lock, NodeId me);
+  void arm_timer(NodeId me, util::SimTime deadline, TimerKind kind);
+  /// Hands a posted send to `dst`: starts it against `dst`'s posted
+  /// receive if that accepts it, else queues it.
+  void offer_send(NodeId dst, PendingSend&& send);
+  /// Starts the oldest send queued at `dst` that `recv` accepts (matched
+  /// at `now`), else leaves `recv` posted at `dst`.
+  void match_or_post(NodeId dst, const PendingRecv& recv, util::SimTime now);
   void start_transfer(util::SimTime match_time, PendingSend&& send, NodeId dst,
                       std::optional<PendingRecv> recv_info);
-  void start_raw_transfer(util::SimTime match_time, NodeId src, NodeId dst,
-                          std::int32_t tag, std::int64_t user_bytes,
-                          std::int64_t wire_bytes, util::SimDuration latency,
-                          std::vector<std::byte> payload, TransferKind kind,
-                          std::optional<PendingRecv> recv_info);
+  /// One async send of `src` finished (delivered or lost) at `t`; wakes
+  /// `src` if that drained a wait_async_sends.
+  void async_send_done(NodeId src, util::SimTime t);
+  /// Ends `id`'s timed wait at `t` as a timeout (peer/tag go to the trace).
+  void time_out(NodeId id, util::SimTime t, NodeId peer = -1,
+                std::int32_t tag = 0);
+  /// Wakes `id` at `t` to fail with PeerFailedError, if it is still waiting.
+  void fail_waiter(NodeId id, util::SimTime t);
   void process_flow_start(const QueuedEvent& ev);
   void process_completions(util::SimTime t);
   void fire_timer(const Timer& timer);
   void apply_death(NodeId node, util::SimTime t);
   void apply_degrade(NodeId node, util::SimTime t, double factor);
   void apply_slow(NodeId node, util::SimTime t, double factor);
+  /// Arrival of `me` at a global op (global_op and try_barrier): records
+  /// its contribution, blocks, completes the op if `me` was the last
+  /// live arrival, and parks until released (or timed out).
+  void join_global_op(std::unique_lock<std::mutex>& lock, NodeId me,
+                      std::span<const std::byte> contribution,
+                      util::SimDuration duration, const char* label);
+  /// Withdraws `id` from the global op; false if it was not waiting in one.
+  bool leave_global_op(NodeId id);
   void maybe_complete_global_op(util::SimTime now, NodeId completer);
   void recompute_gop_max_arrival();
   void wake_node(NodeId id, util::SimTime t);
@@ -436,7 +463,6 @@ class Kernel {
                       std::greater<RunnableEntry>>
       runnable_queue_;
   std::int64_t event_seq_ = 0;
-  std::int64_t send_seq_ = 0;
 
   // In-flight transfers: transfer id -> Transfer (id also keys flows).
   std::vector<std::optional<Transfer>> transfers_;
@@ -453,9 +479,6 @@ class Kernel {
     util::SimDuration duration = 0;
     std::vector<std::vector<std::byte>> contributions;
     std::vector<bool> waiting;
-    std::vector<std::byte> result;
-    std::int64_t generation = 0;
-    std::int32_t to_collect = 0;  ///< wakers not yet resumed
   } gop_;
 
   TraceSink trace_;

@@ -146,51 +146,43 @@ std::vector<std::byte> Node::global_concat(std::span<const std::byte> data) {
   return handle_.global_op(data, params_->ctl_latency);
 }
 
-double Node::reduce_sum(double x) {
-  std::array<std::byte, sizeof(double)> buf;
-  std::memcpy(buf.data(), &x, sizeof(double));
-  const std::vector<std::byte> all = handle_.global_op(buf, params_->ctl_latency);
-  CM5_CHECK(all.size() == sizeof(double) * static_cast<std::size_t>(nprocs()));
-  double total = 0.0;
-  for (std::int32_t i = 0; i < nprocs(); ++i) {
-    double v;
-    std::memcpy(&v, all.data() + static_cast<std::size_t>(i) * sizeof(double),
-                sizeof(double));
-    total += v;
+namespace {
+
+/// Contributes `x` to a global op and folds every node's value into
+/// `acc` with `fold`, in node order 0..n-1 (so sums are bit-identical on
+/// every node and every run).
+template <typename T, typename Fold>
+T fold_global(sim::NodeHandle& handle, util::SimDuration latency, T x, T acc,
+              Fold fold) {
+  std::array<std::byte, sizeof(T)> buf;
+  std::memcpy(buf.data(), &x, sizeof(T));
+  const std::vector<std::byte> all = handle.global_op(buf, latency);
+  CM5_CHECK(all.size() ==
+            sizeof(T) * static_cast<std::size_t>(handle.nprocs()));
+  for (std::size_t off = 0; off < all.size(); off += sizeof(T)) {
+    T v;
+    std::memcpy(&v, all.data() + off, sizeof(T));
+    acc = fold(acc, v);
   }
-  return total;
+  return acc;
+}
+
+}  // namespace
+
+double Node::reduce_sum(double x) {
+  return fold_global(handle_, params_->ctl_latency, x, 0.0,
+                     [](double a, double b) { return a + b; });
 }
 
 std::int64_t Node::reduce_sum_i64(std::int64_t x) {
-  std::array<std::byte, sizeof(std::int64_t)> buf;
-  std::memcpy(buf.data(), &x, sizeof(std::int64_t));
-  const std::vector<std::byte> all = handle_.global_op(buf, params_->ctl_latency);
-  CM5_CHECK(all.size() ==
-            sizeof(std::int64_t) * static_cast<std::size_t>(nprocs()));
-  std::int64_t total = 0;
-  for (std::int32_t i = 0; i < nprocs(); ++i) {
-    std::int64_t v;
-    std::memcpy(&v,
-                all.data() + static_cast<std::size_t>(i) * sizeof(std::int64_t),
-                sizeof(std::int64_t));
-    total += v;
-  }
-  return total;
+  return fold_global(handle_, params_->ctl_latency, x, std::int64_t{0},
+                     [](std::int64_t a, std::int64_t b) { return a + b; });
 }
 
 double Node::reduce_max(double x) {
-  std::array<std::byte, sizeof(double)> buf;
-  std::memcpy(buf.data(), &x, sizeof(double));
-  const std::vector<std::byte> all = handle_.global_op(buf, params_->ctl_latency);
-  CM5_CHECK(all.size() == sizeof(double) * static_cast<std::size_t>(nprocs()));
-  double best = -std::numeric_limits<double>::infinity();
-  for (std::int32_t i = 0; i < nprocs(); ++i) {
-    double v;
-    std::memcpy(&v, all.data() + static_cast<std::size_t>(i) * sizeof(double),
-                sizeof(double));
-    best = std::max(best, v);
-  }
-  return best;
+  return fold_global(handle_, params_->ctl_latency, x,
+                     -std::numeric_limits<double>::infinity(),
+                     [](double a, double b) { return std::max(a, b); });
 }
 
 void Node::reduce_phantom_vector(std::int64_t length) {
@@ -227,13 +219,7 @@ Cm5Machine::Cm5Machine(MachineParams params)
     : params_(params), topo_(params_.tree) {}
 
 sim::RunResult Cm5Machine::run(const Program& program) {
-  sim::Kernel kernel(topo_);
-  kernel.set_execution_model(exec_model_);
-  if (fault_plan_) kernel.set_fault_plan(*fault_plan_);
-  return kernel.run([this, &program](sim::NodeHandle& handle) {
-    Node node(handle, params_);
-    program(node);
-  });
+  return run_traced(program, {});
 }
 
 sim::RunResult Cm5Machine::run_traced(const Program& program,

@@ -11,6 +11,24 @@ namespace {
 
 std::size_t idx(NodeId id) { return static_cast<std::size_t>(id); }
 
+/// Argument checks shared by the sending primitives (`op` names one).
+void check_send_args(const char* op, NodeId me, NodeId peer,
+                     std::int32_t nprocs, std::int64_t user_bytes,
+                     const std::vector<std::byte>& payload) {
+  CM5_CHECK_MSG(peer >= 0 && peer < nprocs, std::string(op) + ": bad peer");
+  CM5_CHECK_MSG(peer != me, std::string(op) +
+                                " to self is not supported (CMMD semantics)");
+  CM5_CHECK_MSG(payload.empty() ||
+                    static_cast<std::int64_t>(payload.size()) == user_bytes,
+                "payload must be empty (phantom) or exactly user_bytes long");
+}
+
+[[noreturn]] void throw_peer_failed(const char* op, NodeId peer,
+                                    const char* what) {
+  throw PeerFailedError(std::string(op) + " failed: node " +
+                        std::to_string(peer) + what);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- NodeHandle
@@ -42,61 +60,14 @@ void NodeHandle::advance(util::SimDuration d) {
   k.push_runnable(id_);
   k.emit(TraceEvent::Kind::Compute, me.clock, id_, -1, d);
   k.yield(lock, id_);
-  k.check_abort(id_);
 }
 
 void NodeHandle::post_send(NodeId dst, std::int32_t tag,
                            std::int64_t user_bytes, std::int64_t wire_bytes,
                            util::SimDuration latency,
                            std::vector<std::byte> payload) {
-  Kernel& k = *kernel_;
-  CM5_CHECK_MSG(dst >= 0 && dst < k.topo_.num_nodes(), "send: bad destination");
-  CM5_CHECK_MSG(dst != id_, "send to self is not supported (CMMD semantics)");
-  CM5_CHECK_MSG(payload.empty() ||
-                    static_cast<std::int64_t>(payload.size()) == user_bytes,
-                "payload must be empty (phantom) or exactly user_bytes long");
-  auto lock = k.exec_lock();
-  k.check_abort(id_);
-  Kernel::NodeState& me = k.nodes_[idx(id_)];
-  if (k.nodes_[idx(dst)].killed) {
-    throw PeerFailedError("send failed: node " + std::to_string(dst) +
-                          " is dead");
-  }
-  ++me.counters.sends;
-  me.counters.bytes_sent += user_bytes;
-  k.emit(TraceEvent::Kind::SendPosted, me.clock, id_, dst, user_bytes, tag);
-
-  Kernel::PendingSend ps{id_,     tag,      user_bytes,
-                         wire_bytes, latency, std::move(payload),
-                         me.clock, /*async=*/false, k.send_seq_++};
-  Kernel::NodeState& receiver = k.nodes_[idx(dst)];
-  if (receiver.posted_recv &&
-      (receiver.posted_recv->src_filter == kAnyNode ||
-       receiver.posted_recv->src_filter == id_) &&
-      (receiver.posted_recv->tag_filter == kAnyTag ||
-       receiver.posted_recv->tag_filter == tag)) {
-    const util::SimTime match =
-        std::max(me.clock, receiver.posted_recv->post_time);
-    Kernel::PendingRecv recv = *receiver.posted_recv;
-    receiver.posted_recv.reset();
-    k.start_transfer(match, std::move(ps), dst, std::move(recv));
-  } else {
-    k.send_queues_[idx(dst)].push_back(std::move(ps));
-  }
-
-  me.status = Kernel::NodeStatus::Blocked;
-  me.blocked_on = "send_block to node";
-  me.blocked_peer = dst;
-  me.has_token = false;
-  k.schedule_next(lock);
-  k.wait_for_token(lock, id_);
-  k.check_abort(id_);
-  me.blocked_on = nullptr;
-  if (me.peer_failed) {
-    me.peer_failed = false;
-    throw PeerFailedError("send failed: node " + std::to_string(dst) +
-                          " died before receiving");
-  }
+  send_impl(dst, tag, user_bytes, wire_bytes, latency, std::move(payload),
+            /*async=*/false);
 }
 
 void NodeHandle::post_send_async(NodeId dst, std::int32_t tag,
@@ -104,48 +75,47 @@ void NodeHandle::post_send_async(NodeId dst, std::int32_t tag,
                                  std::int64_t wire_bytes,
                                  util::SimDuration latency,
                                  std::vector<std::byte> payload) {
+  send_impl(dst, tag, user_bytes, wire_bytes, latency, std::move(payload),
+            /*async=*/true);
+}
+
+void NodeHandle::send_impl(NodeId dst, std::int32_t tag,
+                           std::int64_t user_bytes, std::int64_t wire_bytes,
+                           util::SimDuration latency,
+                           std::vector<std::byte> payload, bool async) {
   Kernel& k = *kernel_;
-  CM5_CHECK_MSG(dst >= 0 && dst < k.topo_.num_nodes(), "send: bad destination");
-  CM5_CHECK_MSG(dst != id_, "send to self is not supported (CMMD semantics)");
-  CM5_CHECK_MSG(payload.empty() ||
-                    static_cast<std::int64_t>(payload.size()) == user_bytes,
-                "payload must be empty (phantom) or exactly user_bytes long");
+  check_send_args("send", id_, dst, k.topo_.num_nodes(), user_bytes, payload);
   auto lock = k.exec_lock();
   k.check_abort(id_);
   Kernel::NodeState& me = k.nodes_[idx(id_)];
+  const bool dead = k.nodes_[idx(dst)].killed;
+  if (dead && !async) throw_peer_failed("send", dst, " is dead");
   ++me.counters.sends;
   me.counters.bytes_sent += user_bytes;
   k.emit(TraceEvent::Kind::SendPosted, me.clock, id_, dst, user_bytes, tag);
-  if (k.nodes_[idx(dst)].killed) {
+  if (dead) {  // async only: a blocking send to a dead node threw above
     // Fire-and-forget into a dead node: silently lost, like a real NIC.
     k.emit(TraceEvent::Kind::FaultDrop, me.clock, id_, dst, user_bytes, tag);
+  } else {
+    if (async) ++me.async_in_flight;
+    k.offer_send(dst, Kernel::PendingSend{
+                          id_, tag, user_bytes, wire_bytes, latency,
+                          std::move(payload), me.clock,
+                          async ? Kernel::TransferKind::Async
+                                : Kernel::TransferKind::Sync});
+  }
+  if (async) {
+    // Not blocking: the caller continues at its current clock. Yield so
+    // the kernel can keep global time order (another node may be behind).
     k.yield(lock, id_);
-    k.check_abort(id_);
     return;
   }
-  ++me.async_in_flight;
-
-  Kernel::PendingSend ps{id_,     tag,      user_bytes,
-                         wire_bytes, latency, std::move(payload),
-                         me.clock, /*async=*/true, k.send_seq_++};
-  Kernel::NodeState& receiver = k.nodes_[idx(dst)];
-  if (receiver.posted_recv &&
-      (receiver.posted_recv->src_filter == kAnyNode ||
-       receiver.posted_recv->src_filter == id_) &&
-      (receiver.posted_recv->tag_filter == kAnyTag ||
-       receiver.posted_recv->tag_filter == tag)) {
-    const util::SimTime match =
-        std::max(me.clock, receiver.posted_recv->post_time);
-    Kernel::PendingRecv recv = *receiver.posted_recv;
-    receiver.posted_recv.reset();
-    k.start_transfer(match, std::move(ps), dst, std::move(recv));
-  } else {
-    k.send_queues_[idx(dst)].push_back(std::move(ps));
+  k.mark_blocked(id_, "send_block to node", dst);
+  k.park(lock, id_);
+  if (me.peer_failed) {
+    me.peer_failed = false;
+    throw_peer_failed("send", dst, " died before receiving");
   }
-  // Not blocking: the caller continues at its current clock. Yield so the
-  // kernel can keep global time order (another node may be behind us).
-  k.yield(lock, id_);
-  k.check_abort(id_);
 }
 
 void NodeHandle::wait_async_sends() {
@@ -155,14 +125,8 @@ void NodeHandle::wait_async_sends() {
   Kernel::NodeState& me = k.nodes_[idx(id_)];
   if (me.async_in_flight == 0) return;
   me.waiting_async_drain = true;
-  me.status = Kernel::NodeStatus::Blocked;
-  me.blocked_on = "wait_async_sends";
-  me.blocked_peer = -1;
-  me.has_token = false;
-  k.schedule_next(lock);
-  k.wait_for_token(lock, id_);
-  k.check_abort(id_);
-  me.blocked_on = nullptr;
+  k.mark_blocked(id_, "wait_async_sends", -1);
+  k.park(lock, id_);
 }
 
 Message NodeHandle::post_receive(NodeId src, std::int32_t tag) {
@@ -186,58 +150,31 @@ std::optional<Message> NodeHandle::receive_impl(
   k.check_abort(id_);
   Kernel::NodeState& me = k.nodes_[idx(id_)];
   if (!timeout && src != kAnyNode && k.nodes_[idx(src)].killed) {
-    throw PeerFailedError("receive failed: node " + std::to_string(src) +
-                          " is dead");
+    throw_peer_failed("receive", src, " is dead");
   }
   ++me.counters.receives;
   CM5_CHECK_MSG(!me.posted_recv && !me.recv_ready,
                 "only one outstanding receive per node");
   k.emit(TraceEvent::Kind::RecvPosted, me.clock, id_, src, 0, tag);
 
-  std::optional<util::SimTime> deadline;
+  Kernel::PendingRecv recv{src, tag, me.clock, std::nullopt};
   if (timeout) {
-    deadline = me.clock + *timeout;
-    // Timers are armed unconditionally and validated at fire time; the
-    // generation distinguishes this wait from any later one.
-    ++me.wait_generation;
-    k.timer_queue_.push(Kernel::Timer{*deadline, k.timer_seq_++, id_,
-                                      me.wait_generation,
-                                      Kernel::TimerKind::Recv});
+    recv.deadline = me.clock + *timeout;
+    k.arm_timer(id_, *recv.deadline, Kernel::TimerKind::Recv);
   }
-
-  auto& queue = k.send_queues_[idx(id_)];
-  auto it = std::find_if(queue.begin(), queue.end(),
-                         [&](const Kernel::PendingSend& s) {
-                           return (src == kAnyNode || s.src == src) &&
-                                  (tag == kAnyTag || s.tag == tag);
-                         });
-  if (it != queue.end()) {
-    Kernel::PendingSend ps = std::move(*it);
-    queue.erase(it);
-    const util::SimTime match = std::max(me.clock, ps.post_time);
-    k.start_transfer(match, std::move(ps), id_,
-                     Kernel::PendingRecv{src, tag, me.clock, deadline});
-  } else {
-    me.posted_recv = Kernel::PendingRecv{src, tag, me.clock, deadline};
-  }
-
-  me.status = Kernel::NodeStatus::Blocked;
-  me.blocked_on = src == kAnyNode ? "receive_block from node ANY"
-                                  : "receive_block from node";
-  me.blocked_peer = src == kAnyNode ? -1 : src;
-  me.has_token = false;
-  k.schedule_next(lock);
-  k.wait_for_token(lock, id_);
-  k.check_abort(id_);
-  me.blocked_on = nullptr;
+  k.match_or_post(id_, recv, me.clock);
+  k.mark_blocked(id_,
+                 src == kAnyNode ? "receive_block from node ANY"
+                                 : "receive_block from node",
+                 src);  // kAnyNode is -1: no peer in the deadlock report
+  k.park(lock, id_);
   if (me.timed_out) {
     me.timed_out = false;
     return std::nullopt;
   }
   if (me.peer_failed) {
     me.peer_failed = false;
-    throw PeerFailedError("receive failed: node " + std::to_string(src) +
-                          " died");
+    throw_peer_failed("receive", src, " died");
   }
   CM5_CHECK_MSG(me.recv_ready, "woken without a delivered message");
   me.recv_ready = false;
@@ -249,61 +186,43 @@ Message NodeHandle::post_swap(NodeId peer, std::int32_t tag,
                               util::SimDuration latency,
                               std::vector<std::byte> payload) {
   Kernel& k = *kernel_;
-  CM5_CHECK_MSG(peer >= 0 && peer < k.topo_.num_nodes(), "swap: bad peer");
-  CM5_CHECK_MSG(peer != id_, "swap with self is not supported");
-  CM5_CHECK_MSG(payload.empty() ||
-                    static_cast<std::int64_t>(payload.size()) == user_bytes,
-                "payload must be empty (phantom) or exactly user_bytes long");
+  check_send_args("swap", id_, peer, k.topo_.num_nodes(), user_bytes, payload);
   auto lock = k.exec_lock();
   k.check_abort(id_);
   Kernel::NodeState& me = k.nodes_[idx(id_)];
-  if (k.nodes_[idx(peer)].killed) {
-    throw PeerFailedError("swap failed: node " + std::to_string(peer) +
-                          " is dead");
-  }
+  if (k.nodes_[idx(peer)].killed) throw_peer_failed("swap", peer, " is dead");
   ++me.counters.sends;
   ++me.counters.receives;
   me.counters.bytes_sent += user_bytes;
   CM5_CHECK_MSG(me.swap_remaining == 0, "only one outstanding swap per node");
   k.emit(TraceEvent::Kind::SwapPosted, me.clock, id_, peer, user_bytes, tag);
 
+  Kernel::PendingSend mine{id_,     tag,      user_bytes,
+                           wire_bytes, latency, std::move(payload),
+                           me.clock, Kernel::TransferKind::Swap};
   const auto it = std::find_if(
       k.pending_swaps_.begin(), k.pending_swaps_.end(),
       [&](const Kernel::PendingSwap& s) {
-        return s.poster == peer && s.peer == id_ && s.tag == tag;
+        return s.send.src == peer && s.peer == id_ && s.send.tag == tag;
       });
   if (it != k.pending_swaps_.end()) {
-    Kernel::PendingSwap other = std::move(*it);
+    Kernel::PendingSend other = std::move(it->send);
     k.pending_swaps_.erase(it);
     const util::SimTime match = std::max(me.clock, other.post_time);
     // Both directions enter the network together — full duplex.
-    k.start_raw_transfer(match, id_, peer, tag, user_bytes, wire_bytes,
-                         latency, std::move(payload),
-                         Kernel::TransferKind::Swap, std::nullopt);
-    k.start_raw_transfer(match, peer, id_, tag, other.user_bytes,
-                         other.wire_bytes, other.latency,
-                         std::move(other.payload),
-                         Kernel::TransferKind::Swap, std::nullopt);
+    k.start_transfer(match, std::move(mine), peer, std::nullopt);
+    k.start_transfer(match, std::move(other), id_, std::nullopt);
     me.swap_remaining = 2;
     k.nodes_[idx(peer)].swap_remaining = 2;
   } else {
-    k.pending_swaps_.push_back(Kernel::PendingSwap{
-        id_, peer, tag, user_bytes, wire_bytes, latency, std::move(payload),
-        me.clock});
+    k.pending_swaps_.push_back(Kernel::PendingSwap{peer, std::move(mine)});
   }
 
-  me.status = Kernel::NodeStatus::Blocked;
-  me.blocked_on = "swap with node";
-  me.blocked_peer = peer;
-  me.has_token = false;
-  k.schedule_next(lock);
-  k.wait_for_token(lock, id_);
-  k.check_abort(id_);
-  me.blocked_on = nullptr;
+  k.mark_blocked(id_, "swap with node", peer);
+  k.park(lock, id_);
   if (me.peer_failed) {
     me.peer_failed = false;
-    throw PeerFailedError("swap failed: node " + std::to_string(peer) +
-                          " died");
+    throw_peer_failed("swap", peer, " died");
   }
   CM5_CHECK_MSG(me.recv_ready, "swap woken without a delivered message");
   me.recv_ready = false;
@@ -316,27 +235,9 @@ std::vector<std::byte> NodeHandle::global_op(
   CM5_CHECK(duration >= 0);
   auto lock = k.exec_lock();
   k.check_abort(id_);
-  Kernel::NodeState& me = k.nodes_[idx(id_)];
-  ++me.counters.global_ops;
-
-  k.emit(TraceEvent::Kind::GlobalOpEnter, me.clock, id_);
-  auto& g = k.gop_;
-  g.contributions[idx(id_)].assign(contribution.begin(), contribution.end());
-  g.waiting[idx(id_)] = true;
-  g.max_arrival = std::max(g.max_arrival, me.clock);
-  g.duration = std::max(g.duration, duration);
-  ++g.arrivals;
-
-  me.status = Kernel::NodeStatus::Blocked;
-  me.blocked_on = "global_op (control network)";
-  me.blocked_peer = -1;
-  me.has_token = false;
-  k.maybe_complete_global_op(me.clock, id_);
-  k.schedule_next(lock);
-  k.wait_for_token(lock, id_);
-  k.check_abort(id_);
-  me.blocked_on = nullptr;
-  return std::move(me.gop_result);
+  k.join_global_op(lock, id_, contribution, duration,
+                   "global_op (control network)");
+  return std::move(k.nodes_[idx(id_)].gop_result);
 }
 
 bool NodeHandle::try_barrier(util::SimDuration timeout,
@@ -347,32 +248,9 @@ bool NodeHandle::try_barrier(util::SimDuration timeout,
   auto lock = k.exec_lock();
   k.check_abort(id_);
   Kernel::NodeState& me = k.nodes_[idx(id_)];
-  ++me.counters.global_ops;
-
-  k.emit(TraceEvent::Kind::GlobalOpEnter, me.clock, id_);
-  auto& g = k.gop_;
-  g.contributions[idx(id_)].clear();
-  g.waiting[idx(id_)] = true;
-  g.max_arrival = std::max(g.max_arrival, me.clock);
-  g.duration = std::max(g.duration, duration);
-  ++g.arrivals;
-
-  const util::SimTime deadline = me.clock + timeout;
-  me.gop_deadline = deadline;
-  ++me.wait_generation;
-  k.timer_queue_.push(Kernel::Timer{deadline, k.timer_seq_++, id_,
-                                    me.wait_generation,
-                                    Kernel::TimerKind::Barrier});
-
-  me.status = Kernel::NodeStatus::Blocked;
-  me.blocked_on = "try_barrier (control network)";
-  me.blocked_peer = -1;
-  me.has_token = false;
-  k.maybe_complete_global_op(me.clock, id_);
-  k.schedule_next(lock);
-  k.wait_for_token(lock, id_);
-  k.check_abort(id_);
-  me.blocked_on = nullptr;
+  me.gop_deadline = me.clock + timeout;
+  k.arm_timer(id_, *me.gop_deadline, Kernel::TimerKind::Barrier);
+  k.join_global_op(lock, id_, {}, duration, "try_barrier (control network)");
   me.gop_deadline.reset();
   if (me.timed_out) {
     me.timed_out = false;
@@ -439,10 +317,32 @@ void Kernel::grant(NodeId id) {
 }
 
 void Kernel::yield(std::unique_lock<std::mutex>& lock, NodeId me) {
+  nodes_[idx(me)].has_token = false;
+  park(lock, me);
+}
+
+void Kernel::mark_blocked(NodeId me, const char* label, NodeId peer) {
   NodeState& st = nodes_[idx(me)];
+  st.status = NodeStatus::Blocked;
+  st.blocked_on = label;
+  st.blocked_peer = peer;
   st.has_token = false;
+}
+
+void Kernel::park(std::unique_lock<std::mutex>& lock, NodeId me) {
   schedule_next(lock);
   wait_for_token(lock, me);
+  check_abort(me);
+  nodes_[idx(me)].blocked_on = nullptr;
+}
+
+void Kernel::arm_timer(NodeId me, util::SimTime deadline, TimerKind kind) {
+  // Timers are armed unconditionally and validated at fire time; the
+  // generation distinguishes this wait from any later one.
+  NodeState& st = nodes_[idx(me)];
+  ++st.wait_generation;
+  timer_queue_.push(
+      Timer{deadline, timer_seq_++, me, st.wait_generation, kind});
 }
 
 void Kernel::push_runnable(NodeId id) {
@@ -458,21 +358,63 @@ void Kernel::wake_node(NodeId id, util::SimTime t) {
   push_runnable(id);
 }
 
-void Kernel::start_raw_transfer(util::SimTime match_time, NodeId src,
-                                NodeId dst, std::int32_t tag,
-                                std::int64_t user_bytes,
-                                std::int64_t wire_bytes,
-                                util::SimDuration latency,
-                                std::vector<std::byte> payload,
-                                TransferKind kind,
-                                std::optional<PendingRecv> recv_info) {
+void Kernel::time_out(NodeId id, util::SimTime t, NodeId peer,
+                      std::int32_t tag) {
+  nodes_[idx(id)].timed_out = true;
+  emit(TraceEvent::Kind::WaitTimeout, t, id, peer, 0, tag);
+  wake_node(id, t);
+}
+
+void Kernel::fail_waiter(NodeId id, util::SimTime t) {
+  NodeState& st = nodes_[idx(id)];
+  if (st.killed || st.status != NodeStatus::Blocked) return;
+  st.peer_failed = true;
+  wake_node(id, t);
+}
+
+bool Kernel::PendingRecv::accepts(NodeId src, std::int32_t tag) const noexcept {
+  return (src_filter == kAnyNode || src_filter == src) &&
+         (tag_filter == kAnyTag || tag_filter == tag);
+}
+
+void Kernel::offer_send(NodeId dst, PendingSend&& send) {
+  std::optional<PendingRecv>& posted = nodes_[idx(dst)].posted_recv;
+  if (!posted || !posted->accepts(send.src, send.tag)) {
+    send_queues_[idx(dst)].push_back(std::move(send));
+    return;
+  }
+  const PendingRecv recv = *posted;
+  posted.reset();
+  start_transfer(std::max(send.post_time, recv.post_time), std::move(send),
+                 dst, recv);
+}
+
+void Kernel::match_or_post(NodeId dst, const PendingRecv& recv,
+                           util::SimTime now) {
+  auto& queue = send_queues_[idx(dst)];
+  const auto it =
+      std::find_if(queue.begin(), queue.end(), [&](const PendingSend& s) {
+        return recv.accepts(s.src, s.tag);
+      });
+  if (it == queue.end()) {
+    nodes_[idx(dst)].posted_recv = recv;
+    return;
+  }
+  PendingSend send = std::move(*it);
+  queue.erase(it);
+  start_transfer(std::max(now, send.post_time), std::move(send), dst, recv);
+}
+
+void Kernel::start_transfer(util::SimTime match_time, PendingSend&& send,
+                            NodeId dst, std::optional<PendingRecv> recv_info) {
+  const NodeId src = send.src;
   const auto transfer_id = static_cast<std::int64_t>(transfers_.size());
   bool dropped = false;
   bool corrupt = false;
   util::SimDuration extra_delay = 0;
   // Swaps model the control-coupled full-duplex exchange and are exempt
   // from per-message faults (degrade/death still affect them).
-  if (fault_plan_ && kind != TransferKind::Swap) {
+  if (fault_plan_ && send.kind != TransferKind::Swap) {
     const std::size_t pair =
         idx(src) * static_cast<std::size_t>(topo_.num_nodes()) + idx(dst);
     const std::int64_t nth = pair_send_count_[pair]++;
@@ -481,14 +423,14 @@ void Kernel::start_raw_transfer(util::SimTime match_time, NodeId src,
     }
     if (!dropped) {
       const FaultDecision d =
-          fault_plan_->decide(transfer_id, user_bytes, tag);
+          fault_plan_->decide(transfer_id, send.user_bytes, send.tag);
       dropped = d.drop;
       corrupt = d.corrupt;
       extra_delay = d.extra_delay;
     }
     // Correlated fault processes share the probabilistic exemptions
     // (control traffic and tiny messages pass unharmed).
-    if (fault_plan_->fault_eligible(user_bytes, tag)) {
+    if (fault_plan_->fault_eligible(send.user_bytes, send.tag)) {
       if (fault_plan_->burst.enabled()) {
         // The chain steps on every eligible message — even one already
         // doomed — so its trajectory depends only on the traffic order.
@@ -509,26 +451,29 @@ void Kernel::start_raw_transfer(util::SimTime match_time, NodeId src,
     }
     if (extra_delay > 0) {
       emit(TraceEvent::Kind::FaultDelay, match_time, src, dst, extra_delay,
-           tag);
+           send.tag);
     }
   }
   if (recv_info && recv_info->deadline) {
     timed_recv_transfer_[idx(dst)] = transfer_id;
   }
-  transfers_.push_back(Transfer{src, dst, user_bytes, tag, std::move(payload),
-                                kind, dropped, corrupt,
-                                std::move(recv_info)});
-  event_queue_.push(QueuedEvent{match_time + latency + extra_delay,
-                                event_seq_++, transfer_id, wire_bytes, src,
-                                dst});
+  transfers_.push_back(Transfer{src, dst, send.user_bytes, send.tag,
+                                std::move(send.payload), send.kind, dropped,
+                                corrupt, std::move(recv_info)});
+  event_queue_.push(QueuedEvent{match_time + send.latency + extra_delay,
+                                event_seq_++, transfer_id, send.wire_bytes,
+                                src, dst});
 }
 
-void Kernel::start_transfer(util::SimTime match_time, PendingSend&& send,
-                            NodeId dst, std::optional<PendingRecv> recv_info) {
-  start_raw_transfer(match_time, send.src, dst, send.tag, send.user_bytes,
-                     send.wire_bytes, send.latency, std::move(send.payload),
-                     send.async ? TransferKind::Async : TransferKind::Sync,
-                     std::move(recv_info));
+void Kernel::async_send_done(NodeId src, util::SimTime t) {
+  NodeState& sender = nodes_[idx(src)];
+  --sender.async_in_flight;
+  CM5_CHECK(sender.async_in_flight >= 0);
+  if (!sender.killed && sender.waiting_async_drain &&
+      sender.async_in_flight == 0) {
+    sender.waiting_async_drain = false;
+    wake_node(src, t);
+  }
 }
 
 void Kernel::process_flow_start(const QueuedEvent& ev) {
@@ -559,65 +504,31 @@ void Kernel::process_completions(util::SimTime t) {
     const bool sender_waiting =
         !sender.killed && sender.status == NodeStatus::Blocked;
 
+    // A dropped transfer (or a killed or, under faults, already-finished
+    // receiver) loses the receiver's copy; the wire transfer still
+    // happened, and the rendezvous looks complete from the sender's side.
+    const bool deliver = !tr.dropped && !receiver.killed &&
+                         receiver.status != NodeStatus::Done;
     if (tr.dropped) {
       emit(TraceEvent::Kind::FaultDrop, t, tr.src, tr.dst, tr.user_bytes,
            tr.tag);
-      // The rendezvous looks complete from the sender's side; only the
-      // receiver's copy is lost.
-      if (tr.kind == TransferKind::Sync) {
-        if (sender_waiting) wake_node(tr.src, t);
-      } else {
-        --sender.async_in_flight;
-        CM5_CHECK(sender.async_in_flight >= 0);
-        if (!sender.killed && sender.waiting_async_drain &&
-            sender.async_in_flight == 0) {
-          sender.waiting_async_drain = false;
-          wake_node(tr.src, t);
-        }
-      }
       // Re-arm the consumed receive, or let it time out if its deadline
       // already passed while the doomed transfer was in flight. recv_info
       // is empty if the deadline timer already fired for this wait.
       if (tr.recv_info && !receiver.killed &&
           receiver.status == NodeStatus::Blocked) {
-        const PendingRecv recv = *tr.recv_info;
+        const PendingRecv& recv = *tr.recv_info;
         if (recv.deadline && *recv.deadline <= t) {
-          receiver.timed_out = true;
-          emit(TraceEvent::Kind::WaitTimeout, t, tr.dst, recv.src_filter, 0,
-               recv.tag_filter);
-          wake_node(tr.dst, t);
+          time_out(tr.dst, t, recv.src_filter, recv.tag_filter);
         } else {
-          auto& queue = send_queues_[idx(tr.dst)];
-          auto it = std::find_if(
-              queue.begin(), queue.end(), [&](const PendingSend& s) {
-                return (recv.src_filter == kAnyNode ||
-                        s.src == recv.src_filter) &&
-                       (recv.tag_filter == kAnyTag ||
-                        s.tag == recv.tag_filter);
-              });
-          if (it != queue.end()) {
-            PendingSend ps = std::move(*it);
-            queue.erase(it);
-            start_transfer(std::max(t, ps.post_time), std::move(ps), tr.dst,
-                           recv);
-          } else {
-            receiver.posted_recv = recv;
-          }
+          match_or_post(tr.dst, recv, t);
         }
       }
-      continue;
-    }
-
-    if (tr.corrupt) {
+    } else if (tr.corrupt) {
       emit(TraceEvent::Kind::FaultCorrupt, t, tr.src, tr.dst, tr.user_bytes,
            tr.tag);
       if (!tr.payload.empty()) tr.payload[0] ^= std::byte{0x01};
     }
-
-    // A killed (or, under faults, already-finished) receiver swallows
-    // the delivery; the wire transfer still happened.
-    const bool deliver =
-        !receiver.killed && receiver.status != NodeStatus::Done;
     if (deliver) {
       CM5_CHECK_MSG(!receiver.recv_ready, "receiver already holds a message");
       receiver.inbox = Message{tr.src, tr.tag, tr.user_bytes,
@@ -625,28 +536,17 @@ void Kernel::process_completions(util::SimTime t) {
       receiver.recv_ready = true;
     }
 
-    switch (tr.kind) {
-      case TransferKind::Sync:
-        if (deliver) wake_node(tr.dst, t);
-        if (sender_waiting) wake_node(tr.src, t);
-        break;
-      case TransferKind::Async:
-        if (deliver) wake_node(tr.dst, t);
-        --sender.async_in_flight;
-        CM5_CHECK(sender.async_in_flight >= 0);
-        if (!sender.killed && sender.waiting_async_drain &&
-            sender.async_in_flight == 0) {
-          sender.waiting_async_drain = false;
-          wake_node(tr.src, t);
-        }
-        break;
-      case TransferKind::Swap:
-        // Each endpoint waits for both directions of the exchange.
-        if (--receiver.swap_remaining == 0 && deliver) wake_node(tr.dst, t);
-        if (--sender.swap_remaining == 0 && sender_waiting) {
-          wake_node(tr.src, t);
-        }
-        break;
+    if (tr.kind == TransferKind::Swap) {  // never dropped: fault-exempt
+      // Each endpoint waits for both directions of the exchange.
+      if (--receiver.swap_remaining == 0 && deliver) wake_node(tr.dst, t);
+      if (--sender.swap_remaining == 0 && sender_waiting) wake_node(tr.src, t);
+      continue;
+    }
+    if (deliver) wake_node(tr.dst, t);
+    if (tr.kind == TransferKind::Async) {
+      async_send_done(tr.src, t);
+    } else if (sender_waiting) {
+      wake_node(tr.src, t);
     }
   }
 }
@@ -763,6 +663,31 @@ void Kernel::schedule_next(std::unique_lock<std::mutex>& lock) {
   }
 }
 
+void Kernel::join_global_op(std::unique_lock<std::mutex>& lock, NodeId me,
+                            std::span<const std::byte> contribution,
+                            util::SimDuration duration, const char* label) {
+  NodeState& st = nodes_[idx(me)];
+  ++st.counters.global_ops;
+  emit(TraceEvent::Kind::GlobalOpEnter, st.clock, me);
+  gop_.contributions[idx(me)].assign(contribution.begin(), contribution.end());
+  gop_.waiting[idx(me)] = true;
+  gop_.max_arrival = std::max(gop_.max_arrival, st.clock);
+  gop_.duration = std::max(gop_.duration, duration);
+  ++gop_.arrivals;
+  mark_blocked(me, label, -1);
+  maybe_complete_global_op(st.clock, me);
+  park(lock, me);
+}
+
+bool Kernel::leave_global_op(NodeId id) {
+  if (!gop_.waiting[idx(id)]) return false;
+  gop_.waiting[idx(id)] = false;
+  --gop_.arrivals;
+  gop_.contributions[idx(id)].clear();
+  recompute_gop_max_arrival();
+  return true;
+}
+
 void Kernel::recompute_gop_max_arrival() {
   // Waiting nodes' clocks are frozen at their arrival times, so the max
   // arrival can be rebuilt exactly after a withdrawal.
@@ -779,22 +704,19 @@ void Kernel::maybe_complete_global_op(util::SimTime now, NodeId completer) {
   const std::int32_t expected = topo_.num_nodes() - killed_count_;
   if (g.arrivals == 0 || g.arrivals < expected) return;
   const util::SimTime release = std::max(g.max_arrival, now) + g.duration;
-  g.result.clear();
+  std::vector<std::byte> result;
   for (auto& c : g.contributions) {
-    g.result.insert(g.result.end(), c.begin(), c.end());
+    result.insert(result.end(), c.begin(), c.end());
     c.clear();
   }
   g.arrivals = 0;
   g.max_arrival = 0;
   g.duration = 0;
-  ++g.generation;
   emit(TraceEvent::Kind::GlobalOpComplete, release, completer);
   for (NodeId n = 0; n < topo_.num_nodes(); ++n) {
     if (!g.waiting[idx(n)]) continue;
     g.waiting[idx(n)] = false;
-    NodeState& st = nodes_[idx(n)];
-    st.gop_result = g.result;
-    st.gop_deadline.reset();
+    nodes_[idx(n)].gop_result = result;
     wake_node(n, release);
   }
 }
@@ -805,52 +727,38 @@ void Kernel::fire_timer(const Timer& timer) {
   // moved on (generation), was killed, or the wait state is gone.
   if (st.killed || st.status != NodeStatus::Blocked) return;
   if (st.wait_generation != timer.generation) return;
-  if (timer.kind == TimerKind::Recv) {
-    if (st.posted_recv) {
-      if (!st.posted_recv->deadline || *st.posted_recv->deadline != timer.time) {
-        return;  // a different (newer) wait owns this node
-      }
-      const PendingRecv recv = *st.posted_recv;
-      st.posted_recv.reset();
-      st.timed_out = true;
-      emit(TraceEvent::Kind::WaitTimeout, timer.time, timer.node,
-           recv.src_filter, 0, recv.tag_filter);
-      wake_node(timer.node, timer.time);
-      return;
-    }
-    // The receive was consumed by an in-flight transfer. If that transfer
-    // is doomed to be dropped, the receiver must still time out at its
-    // deadline — it cannot observe a wire that will never deliver. A
-    // healthy in-flight transfer instead commits the delivery (the timer
-    // is stale; the message may complete after the deadline). Only the
-    // transfer last started for a timed receive of this node can match:
-    // a blocked node has one posted receive, so at most one live transfer
-    // carries its recv_info, and a dropped transfer's re-arm resets its
-    // own slot before it starts (and records) the next one.
-    const std::int64_t id = timed_recv_transfer_[idx(timer.node)];
-    if (id < 0) return;
-    auto& slot = transfers_[static_cast<std::size_t>(id)];
-    if (!slot || slot->dst != timer.node || !slot->recv_info) return;
-    const PendingRecv recv = *slot->recv_info;
-    if (!recv.deadline || *recv.deadline != timer.time) return;
-    if (!slot->dropped) return;  // delivery committed
-    slot->recv_info.reset();     // completion must not re-arm the wait
-    st.timed_out = true;
-    emit(TraceEvent::Kind::WaitTimeout, timer.time, timer.node,
-         recv.src_filter, 0, recv.tag_filter);
-    wake_node(timer.node, timer.time);
-  } else {
+  if (timer.kind == TimerKind::Barrier) {
     if (!st.gop_deadline || *st.gop_deadline != timer.time) return;
-    if (!gop_.waiting[idx(timer.node)]) return;
-    gop_.waiting[idx(timer.node)] = false;
-    --gop_.arrivals;
-    gop_.contributions[idx(timer.node)].clear();
-    recompute_gop_max_arrival();
-    st.gop_deadline.reset();
-    st.timed_out = true;
-    emit(TraceEvent::Kind::WaitTimeout, timer.time, timer.node);
-    wake_node(timer.node, timer.time);
+    if (leave_global_op(timer.node)) time_out(timer.node, timer.time);
+    return;
   }
+  if (st.posted_recv) {
+    if (!st.posted_recv->deadline || *st.posted_recv->deadline != timer.time) {
+      return;  // a different (newer) wait owns this node
+    }
+    const PendingRecv recv = *st.posted_recv;
+    st.posted_recv.reset();
+    time_out(timer.node, timer.time, recv.src_filter, recv.tag_filter);
+    return;
+  }
+  // The receive was consumed by an in-flight transfer. If that transfer
+  // is doomed to be dropped, the receiver must still time out at its
+  // deadline — it cannot observe a wire that will never deliver. A
+  // healthy in-flight transfer instead commits the delivery (the timer
+  // is stale; the message may complete after the deadline). Only the
+  // transfer last started for a timed receive of this node can match:
+  // a blocked node has one posted receive, so at most one live transfer
+  // carries its recv_info, and a dropped transfer's re-arm resets its
+  // own slot before it starts (and records) the next one.
+  const std::int64_t id = timed_recv_transfer_[idx(timer.node)];
+  if (id < 0) return;
+  auto& slot = transfers_[static_cast<std::size_t>(id)];
+  if (!slot || slot->dst != timer.node || !slot->recv_info) return;
+  const PendingRecv recv = *slot->recv_info;
+  if (!recv.deadline || *recv.deadline != timer.time) return;
+  if (!slot->dropped) return;  // delivery committed
+  slot->recv_info.reset();     // completion must not re-arm the wait
+  time_out(timer.node, timer.time, recv.src_filter, recv.tag_filter);
 }
 
 void Kernel::apply_degrade(NodeId node, util::SimTime t, double factor) {
@@ -876,15 +784,7 @@ void Kernel::apply_death(NodeId node, util::SimTime t) {
   emit(TraceEvent::Kind::FaultKill, t, node);
   st.posted_recv.reset();
   st.waiting_async_drain = false;
-
-  // Withdraw the dead node from a global op it is waiting in.
-  if (gop_.waiting[idx(node)]) {
-    gop_.waiting[idx(node)] = false;
-    --gop_.arrivals;
-    gop_.contributions[idx(node)].clear();
-    recompute_gop_max_arrival();
-  }
-  st.gop_deadline.reset();
+  leave_global_op(node);  // a dead node leaves the op it is waiting in
 
   // Its queued outgoing sends vanish.
   for (auto& q : send_queues_) {
@@ -893,50 +793,31 @@ void Kernel::apply_death(NodeId node, util::SimTime t) {
 
   // Queued sends toward it will never match: async ones are lost, and
   // rendezvous senders are woken to fail with PeerFailedError.
-  for (PendingSend& s : send_queues_[idx(node)]) {
-    NodeState& sender = nodes_[idx(s.src)];
+  for (const PendingSend& s : send_queues_[idx(node)]) {
     emit(TraceEvent::Kind::FaultDrop, t, s.src, node, s.user_bytes, s.tag);
-    if (s.async) {
-      --sender.async_in_flight;
-      CM5_CHECK(sender.async_in_flight >= 0);
-      if (!sender.killed && sender.waiting_async_drain &&
-          sender.async_in_flight == 0) {
-        sender.waiting_async_drain = false;
-        wake_node(s.src, t);
-      }
-    } else if (!sender.killed && sender.status == NodeStatus::Blocked) {
-      sender.peer_failed = true;
-      wake_node(s.src, t);
+    if (s.kind == TransferKind::Async) {
+      async_send_done(s.src, t);
+    } else {
+      fail_waiter(s.src, t);
     }
   }
   send_queues_[idx(node)].clear();
 
   // Pending swap posts involving the dead node.
   std::erase_if(pending_swaps_, [&](const PendingSwap& s) {
-    if (s.poster == node) return true;
-    if (s.peer == node) {
-      NodeState& poster = nodes_[idx(s.poster)];
-      if (!poster.killed && poster.status == NodeStatus::Blocked) {
-        poster.peer_failed = true;
-        wake_node(s.poster, t);
-      }
-      return true;
-    }
-    return false;
+    if (s.peer == node) fail_waiter(s.send.src, t);
+    return s.send.src == node || s.peer == node;
   });
 
   // Untimed receives waiting specifically on the dead node fail now;
   // timed receives simply run to their deadline (a real machine cannot
-  // tell a dead peer from a silent one).
+  // tell a dead peer from a silent one). A posted receive implies a
+  // blocked, live node (the dead node's own was reset above).
   for (NodeId n = 0; n < topo_.num_nodes(); ++n) {
-    if (n == node) continue;
-    NodeState& other = nodes_[idx(n)];
-    if (other.killed || other.status != NodeStatus::Blocked) continue;
-    if (other.posted_recv && other.posted_recv->src_filter == node &&
-        !other.posted_recv->deadline) {
-      other.posted_recv.reset();
-      other.peer_failed = true;
-      wake_node(n, t);
+    std::optional<PendingRecv>& posted = nodes_[idx(n)].posted_recv;
+    if (posted && posted->src_filter == node && !posted->deadline) {
+      posted.reset();
+      fail_waiter(n, t);
     }
   }
 
@@ -1032,7 +913,6 @@ RunResult Kernel::run(const NodeProgram& program) {
   runnable_queue_ = {};
   for (NodeId i = 0; i < n; ++i) push_runnable(i);  // all start at time 0
   event_seq_ = 0;
-  send_seq_ = 0;
   transfers_.clear();
   flow_to_transfer_.clear();
   timed_recv_transfer_.assign(static_cast<std::size_t>(n), -1);

@@ -33,6 +33,13 @@ SimDuration exchange_time(std::int32_t nprocs, sched::ExchangeAlgorithm alg,
       .makespan;
 }
 
+SimDuration broadcast_time(std::int32_t nprocs, sched::BroadcastAlgorithm alg,
+                           std::int64_t bytes) {
+  Cm5Machine m(MachineParams::cm5_defaults(nprocs));
+  return m.run([&](Node& node) { sched::broadcast(node, alg, 0, bytes); })
+      .makespan;
+}
+
 SimDuration irregular_time(const sched::CommPattern& pattern,
                            sched::Scheduler scheduler) {
   Cm5Machine m(MachineParams::cm5_defaults(pattern.nprocs()));
@@ -76,19 +83,31 @@ TEST(HeadlineTest, Fig6At256Bytes_BalancedBest) {
 // --- Figures 10/11 -----------------------------------------------------------
 
 TEST(HeadlineTest, BroadcastCrossoversMatchPaper) {
-  auto time = [](std::int32_t n, sched::BroadcastAlgorithm alg,
-                 std::int64_t bytes) {
-    Cm5Machine m(MachineParams::cm5_defaults(n));
-    return m.run([&](Node& node) { sched::broadcast(node, alg, 0, bytes); })
-        .makespan;
-  };
   using BA = sched::BroadcastAlgorithm;
   // 32 nodes: system wins at 512 B, REB wins beyond ~1 KB.
-  EXPECT_LT(time(32, BA::System, 512), time(32, BA::Recursive, 512));
-  EXPECT_LT(time(32, BA::Recursive, 2048), time(32, BA::System, 2048));
+  EXPECT_LT(broadcast_time(32, BA::System, 512),
+            broadcast_time(32, BA::Recursive, 512));
+  EXPECT_LT(broadcast_time(32, BA::Recursive, 2048),
+            broadcast_time(32, BA::System, 2048));
   // 256 nodes: the crossover moves out to ~2 KB.
-  EXPECT_LT(time(256, BA::System, 1024), time(256, BA::Recursive, 1024));
-  EXPECT_LT(time(256, BA::Recursive, 4096), time(256, BA::System, 4096));
+  EXPECT_LT(broadcast_time(256, BA::System, 1024),
+            broadcast_time(256, BA::Recursive, 1024));
+  EXPECT_LT(broadcast_time(256, BA::Recursive, 4096),
+            broadcast_time(256, BA::System, 4096));
+}
+
+TEST(HeadlineTest, Fig11SystemBroadcastFlatInMachineSize) {
+  // The control network's broadcast costs the same on every partition
+  // size; REB pays one more recursive step per doubling.
+  using BA = sched::BroadcastAlgorithm;
+  const SimDuration system32 = broadcast_time(32, BA::System, 1024);
+  SimDuration previous_reb = 0;
+  for (const std::int32_t n : {32, 64, 128, 256}) {
+    EXPECT_EQ(broadcast_time(n, BA::System, 1024), system32) << n;
+    const SimDuration reb = broadcast_time(n, BA::Recursive, 1024);
+    EXPECT_GT(reb, previous_reb) << n;
+    previous_reb = reb;
+  }
 }
 
 // --- Table 11 ----------------------------------------------------------------

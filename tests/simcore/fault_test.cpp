@@ -579,6 +579,93 @@ TEST(FaultInjectionTest, AsyncSendToDeadNodeIsDroppedSilently) {
   EXPECT_EQ(rec.count(TraceEvent::Kind::FaultDrop), 1);
 }
 
+SimTime first_drop_time(const TraceRecorder& rec) {
+  for (const TraceEvent& e : rec.events()) {
+    if (e.kind == TraceEvent::Kind::FaultDrop) return e.time;
+  }
+  return -1;
+}
+
+TEST(FaultInjectionTest, DroppedAsyncSendDrainsTheSenderAtTheDrop) {
+  // The async copy is dropped when it lands (100 us); that completion,
+  // not a delivery, is what releases the sender's wait_async_sends.
+  auto topo = make_topo(4);
+  Kernel kernel(topo);
+  FaultPlan plan;
+  plan.targeted_drops.push_back({0, 1, 0});
+  kernel.set_fault_plan(plan);
+  TraceRecorder rec;
+  kernel.set_trace(rec.sink());
+  SimTime drained_at = -1;
+  kernel.run([&](NodeHandle& h) {
+    if (h.id() == 0) {
+      h.post_send_async(1, 5, 64, 2000, 0, {});
+      h.wait_async_sends();
+      drained_at = h.now();
+    } else if (h.id() == 1) {
+      EXPECT_FALSE(h.post_receive_timeout(0, 5, from_us(150)).has_value());
+    }
+  });
+  EXPECT_EQ(rec.count(TraceEvent::Kind::FaultDrop), 1);
+  EXPECT_EQ(drained_at, first_drop_time(rec));
+  EXPECT_EQ(drained_at, from_us(100));
+}
+
+TEST(FaultInjectionTest, AsyncSendQueuedAtDyingReceiverDrainsAtTheDeath) {
+  // Node 1 never posts a receive: the async send sits in its queue until
+  // node 1 dies at 50 us, which loses the send and releases the sender.
+  auto topo = make_topo(4);
+  Kernel kernel(topo);
+  FaultPlan plan;
+  plan.deaths.push_back({1, from_us(50)});
+  kernel.set_fault_plan(plan);
+  TraceRecorder rec;
+  kernel.set_trace(rec.sink());
+  SimTime drained_at = -1;
+  kernel.run([&](NodeHandle& h) {
+    if (h.id() == 0) {
+      h.post_send_async(1, 5, 64, 2000, 0, {});
+      h.wait_async_sends();
+      drained_at = h.now();
+    } else if (h.id() == 1) {
+      h.advance(from_us(1000));  // dies at 50 us instead
+    }
+  });
+  EXPECT_EQ(rec.count(TraceEvent::Kind::FaultDrop), 1);
+  EXPECT_EQ(drained_at, from_us(50));
+}
+
+TEST(FaultInjectionTest, WildcardReceiveReArmsOntoAnotherSourcesQueuedSend) {
+  // Node 1's wildcard receive matches node 0's copy, which is dropped at
+  // 100 us. Meanwhile node 2's send (posted at 10 us) queued at node 1;
+  // the re-armed receive, still (ANY, ANY), takes it at 100 us and it
+  // lands at 200 us.
+  auto topo = make_topo(4);
+  Kernel kernel(topo);
+  FaultPlan plan;
+  plan.targeted_drops.push_back({0, 1, 0});
+  kernel.set_fault_plan(plan);
+  TraceRecorder rec;
+  kernel.set_trace(rec.sink());
+  kernel.run([](NodeHandle& h) {
+    if (h.id() == 0) {
+      h.post_send(1, 5, 64, 2000, 0, {});  // dropped in flight
+    } else if (h.id() == 1) {
+      const auto m = h.post_receive_timeout(kAnyNode, kAnyTag, from_us(1000));
+      ASSERT_TRUE(m.has_value());
+      EXPECT_EQ(m->src, 2);
+      EXPECT_EQ(m->tag, 7);
+      EXPECT_EQ(m->size, 65);
+      EXPECT_EQ(h.now(), from_us(200));
+    } else if (h.id() == 2) {
+      h.advance(from_us(10));
+      h.post_send(1, 7, 65, 2000, 0, {});
+    }
+  });
+  EXPECT_EQ(rec.count(TraceEvent::Kind::FaultDrop), 1);
+  EXPECT_TRUE(wait_timeouts(rec).empty());
+}
+
 // ---------------------------------------------------------------------------
 // Correlated faults in the kernel
 // ---------------------------------------------------------------------------
