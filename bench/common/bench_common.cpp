@@ -142,17 +142,10 @@ int bench_threads() {
     return n >= 1 ? n : 1;
   }
   const unsigned hw = std::thread::hardware_concurrency();
-  if (sim::default_execution_model() == sim::ExecutionModel::kThreads) {
-    // Oversubscribe deliberately: under the thread backend a simulated
-    // machine spends a sizeable fraction of wall time with every node
-    // thread blocked in a condvar handoff, so extra concurrent cells
-    // productively fill those gaps.
-    return static_cast<int>(hw >= 1 ? 2 * hw : 2);
-  }
-  // Fibers keep their driver thread busy the whole run, so one cell per
-  // hardware thread suffices — but always keep at least two workers, so
-  // a long tail cell can overlap stack setup / page-fault stalls of the
-  // next one even on single-core hosts.
+  // A simulated machine keeps its driver thread busy the whole run, so
+  // one cell per hardware thread suffices — but always keep at least two
+  // workers, so a long tail cell can overlap stack setup / page-fault
+  // stalls of the next one even on single-core hosts.
   return static_cast<int>(hw >= 2 ? hw : 2);
 }
 
@@ -237,8 +230,7 @@ void MetricsEmitter::write() {
   Value root = Value::object();
   root["bench"] = bench_name_;
   root["smoke"] = smoke_mode();
-  root["exec_backend"] = std::string(
-      sim::to_string(sim::default_execution_model()));
+  root["exec_backend"] = "fibers";
   root["violations_total"] = violations_total_;
   if (!deterministic_mode()) {
     // Whole-bench perf trajectory; omitted in deterministic mode so that

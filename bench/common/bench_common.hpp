@@ -59,8 +59,7 @@ struct Measured {
   std::int64_t rate_solves = 0;
   std::int64_t flows_refrozen = 0;
   /// Kernel context switches for this cell (RunResult::context_switches):
-  /// fiber stack switches, or condvar wakeups under CM5_EXEC_THREADS=1.
-  /// Deterministic within a backend; not comparable across backends.
+  /// fiber stack switches. Deterministic run to run.
   std::int64_t context_switches = 0;
 };
 
@@ -112,12 +111,7 @@ std::string secs(util::SimDuration d);
 // --- parallel sweeps -------------------------------------------------------
 
 /// Worker-thread count for run_cells: CM5_BENCH_THREADS when set (min 1),
-/// otherwise one worker per hardware thread (min 2). Under the thread
-/// execution backend (CM5_EXEC_THREADS=1) the default is 2x the hardware
-/// threads instead: each simulated machine then spends much of its wall
-/// time blocked in cross-thread token handoff, and oversubscription
-/// hides that latency. Fibers have no handoff gap to hide, so extra
-/// workers would only add contention.
+/// otherwise one worker per hardware thread (min 2).
 int bench_threads();
 
 /// True when CM5_BENCH_DETERMINISTIC requests byte-stable JSON output

@@ -106,11 +106,11 @@ int main() {
   std::fputs(irr.render().c_str(), stdout);
 
   // Large partitions: the machine sizes where REX's lg N phase count
-  // actually bites. Thread-per-node execution could not launch these
-  // (2048 OS threads per cell); the fiber backend runs each node on a
-  // 256 KiB mmap'd stack. Recursive exchange is the only algorithm whose
-  // host cost stays CI-friendly at this scale (O(N lg N) messages);
-  // Pairwise/Balanced are O(N^2) flows and take minutes at N = 2048.
+  // actually bites. Each node runs on a 256 KiB mmap'd fiber stack, so a
+  // 2048-node cell needs no OS thread per node. Recursive exchange is the
+  // only algorithm whose host cost stays CI-friendly at this scale
+  // (O(N lg N) messages); Pairwise/Balanced are O(N^2) flows and take
+  // minutes at N = 2048.
   std::printf("\nLarge partitions (CM-5 defaults, recursive exchange, ms):\n");
   const std::vector<std::int32_t> big_procs =
       bench::smoke_select<std::int32_t>({1024, 2048}, {1024, 2048});

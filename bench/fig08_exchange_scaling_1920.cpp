@@ -19,11 +19,11 @@ int main() {
   {
     // Reference before/after wall-clock for this sweep (full mode, 1-core
     // container, interleaved A/B medians of 10 runs each; docs/PERF.md
-    // has the methodology). "before" is the thread execution backend
-    // (CM5_EXEC_THREADS=1, the pre-fiber kernel retained verbatim as the
-    // oracle); "after" is the default fiber backend. Simulated times are
-    // byte-identical between the two; only host time differs. This run's
-    // own wall-clock is recorded live as perf.total_wall_ms.
+    // has the methodology). "before" is the thread-per-node kernel that
+    // preceded fibers (since deleted); "after" is the fiber kernel.
+    // Simulated times were byte-identical between the two; only host time
+    // differed. This run's own wall-clock is recorded live as
+    // perf.total_wall_ms.
     using util::json::Value;
     Value base = Value::object();
     base["before_total_wall_ms"] = 8300.0;

@@ -174,12 +174,6 @@ class Cm5Machine {
     return fault_plan_;
   }
 
-  /// Selects the kernel execution backend (fibers vs. OS threads) for
-  /// subsequent runs. Simulated results are backend-invariant; this only
-  /// changes host-side cost. Defaults to sim::default_execution_model().
-  void set_execution_model(sim::ExecutionModel model) { exec_model_ = model; }
-  sim::ExecutionModel execution_model() const noexcept { return exec_model_; }
-
   const MachineParams& params() const noexcept { return params_; }
   const net::FatTreeTopology& topology() const noexcept { return topo_; }
 
@@ -187,7 +181,6 @@ class Cm5Machine {
   MachineParams params_;
   net::FatTreeTopology topo_;
   std::optional<sim::FaultPlan> fault_plan_;
-  sim::ExecutionModel exec_model_ = sim::default_execution_model();
 };
 
 }  // namespace cm5::machine

@@ -57,8 +57,8 @@
 ///
 /// Determinism contract: a StreamReport is a pure function of
 /// (StreamOptions, machine params). It contains only virtual-time and
-/// counting fields, so it is byte-identical across execution backends
-/// (kFibers, kThreads) — the stream differential tests enforce this.
+/// counting fields, so it is byte-identical run to run — the stream
+/// repeat-run, resume and golden tests enforce this.
 
 namespace cm5::sched {
 
@@ -312,7 +312,7 @@ struct StreamShedEntry {
 };
 
 /// Everything one stream run produced. Pure virtual-time/counting data:
-/// byte-identical across execution backends.
+/// byte-identical run to run.
 struct StreamReport {
   // --- population --------------------------------------------------------
   std::int64_t requests_generated = 0;
@@ -370,7 +370,7 @@ struct StreamReport {
 /// The machine's installed fault plan is ignored — stream faults come
 /// from options.fault_script — and the machine is returned with no
 /// fault plan installed. Deterministic: same (machine params, options)
-/// means a byte-identical report, on either backend.
+/// means a byte-identical report.
 StreamReport run_stream(machine::Cm5Machine& machine,
                         const StreamOptions& options);
 

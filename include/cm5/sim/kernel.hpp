@@ -4,7 +4,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <queue>
 #include <span>
@@ -15,7 +14,6 @@
 
 #include "cm5/net/fluid_network.hpp"
 #include "cm5/net/topology.hpp"
-#include "cm5/sim/exec_backend.hpp"
 #include "cm5/sim/fault.hpp"
 #include "cm5/sim/message.hpp"
 #include "cm5/sim/trace.hpp"
@@ -24,17 +22,14 @@
 /// \file kernel.hpp
 /// Conservative sequential discrete-event kernel with direct execution.
 ///
-/// Each simulated node runs its program on its own execution context —
-/// a user-space fiber by default, or a dedicated OS thread under the
-/// kThreads backend (see exec_backend.hpp) — but the kernel enforces
-/// that exactly one context executes simulated work at a time and
-/// always resumes the entity with the smallest virtual time (ties:
-/// pending events first, then lowest node id). This makes runs exactly
-/// deterministic and lets node programs be ordinary sequential C++ —
-/// the "direct execution" style of simulators like Wisconsin Wind
-/// Tunnel — while virtual time is tracked per node. Scheduling
-/// decisions are backend-independent, so both backends produce
-/// identical results event for event; only host-side cost differs.
+/// Each simulated node runs its program on its own user-space fiber
+/// (src/simcore/fiber_backend.hpp), and the kernel enforces that exactly
+/// one fiber executes simulated work at a time and always resumes the
+/// entity with the smallest virtual time (ties: pending events first,
+/// then lowest node id). This makes runs exactly deterministic and lets
+/// node programs be ordinary sequential C++ — the "direct execution"
+/// style of simulators like Wisconsin Wind Tunnel — while virtual time
+/// is tracked per node.
 ///
 /// Synchronization model (matches CMMD 1.x on the 1992 CM-5, paper §2/§3):
 /// `post_send` is a blocking rendezvous — the sender does not resume until
@@ -92,14 +87,15 @@ struct RunResult {
   util::SimTime makespan = 0;
   std::vector<NodeCounters> node_counters;
   net::NetworkStats network;
-  /// Host-side execution telemetry (does not affect simulated results).
-  ExecutionModel exec_model = ExecutionModel::kFibers;
+  /// Fiber switches this run: host-side telemetry that does not affect
+  /// simulated results.
   std::int64_t context_switches = 0;
   /// Always 0; kept only because benchmark/src reads it.
   std::int64_t speculative_grants = 0;
 };
 
 class Kernel;
+class FiberBackend;
 
 /// Handle a node program uses to interact with the simulation.
 /// Valid only inside the program invocation it was passed to.
@@ -201,8 +197,8 @@ class Kernel {
   RunResult run(const NodeProgram& program);
 
   /// Installs (or clears, with nullptr) a trace sink for subsequent
-  /// runs. The sink is invoked under the kernel lock in virtual-time
-  /// order; it must not call back into the kernel.
+  /// runs. The sink is invoked in virtual-time order; it must not call
+  /// back into the kernel.
   void set_trace(TraceSink sink) { trace_ = std::move(sink); }
 
   /// Installs a fault plan for subsequent runs (validated against the
@@ -219,13 +215,6 @@ class Kernel {
   const std::optional<FaultPlan>& fault_plan() const noexcept {
     return fault_plan_;
   }
-
-  /// Selects the execution backend for subsequent runs. Defaults to
-  /// default_execution_model() (fibers, unless CM5_EXEC_THREADS=1).
-  void set_execution_model(ExecutionModel model) { exec_model_ = model; }
-
-  /// The model subsequent runs will use.
-  ExecutionModel execution_model() const noexcept { return exec_model_; }
 
  private:
   friend class NodeHandle;
@@ -375,25 +364,19 @@ class Kernel {
     NodeCounters counters;
   };
 
-  // --- all methods below require the kernel lock (see exec_lock) ---
-  void schedule_next(std::unique_lock<std::mutex>& lock);
-  void wait_for_token(std::unique_lock<std::mutex>& lock, NodeId me);
-  /// Sets `id`'s token and unparks its context via the backend. The only
-  /// way a token is ever granted.
+  void schedule_next();
+  void wait_for_token(NodeId me);
+  /// Sets `id`'s token and unparks its fiber. The only way a token is
+  /// ever granted.
   void grant(NodeId id);
-  /// The kernel lock: locked for concurrent backends (threads), deferred
-  /// (never acquired) for single-threaded ones (fibers), where mutual
-  /// exclusion is structural and relocking across a stack switch on one
-  /// OS thread would be UB anyway.
-  std::unique_lock<std::mutex> exec_lock();
-  void yield(std::unique_lock<std::mutex>& lock, NodeId me);
+  void yield(NodeId me);
   /// First half of every blocking wait: marks `me` Blocked (with the
   /// deadlock-report label and peer) and drops its token. A wake between
   /// this and park() (a global op completed by `me` itself) stands.
   void mark_blocked(NodeId me, const char* label, NodeId peer);
   /// Second half: runs the scheduler until `me` holds the token again,
   /// throws if the run aborted or `me` was killed, and clears the label.
-  void park(std::unique_lock<std::mutex>& lock, NodeId me);
+  void park(NodeId me);
   void arm_timer(NodeId me, util::SimTime deadline, TimerKind kind);
   /// Hands a posted send to `dst`: starts it against `dst`'s posted
   /// receive if that accepts it, else queues it.
@@ -420,8 +403,7 @@ class Kernel {
   /// Arrival of `me` at a global op (global_op and try_barrier): records
   /// its contribution, blocks, completes the op if `me` was the last
   /// live arrival, and parks until released (or timed out).
-  void join_global_op(std::unique_lock<std::mutex>& lock, NodeId me,
-                      std::span<const std::byte> contribution,
+  void join_global_op(NodeId me, std::span<const std::byte> contribution,
                       util::SimDuration duration, const char* label);
   /// Withdraws `id` from the global op; false if it was not waiting in one.
   bool leave_global_op(NodeId id);
@@ -441,15 +423,10 @@ class Kernel {
   const net::FatTreeTopology& topo_;
   std::unique_ptr<net::FluidNetwork> fluid_;
 
-  std::mutex mutex_;
   std::vector<NodeState> nodes_;
   std::int32_t done_count_ = 0;
   bool run_finished_ = false;
-
-  // Execution seam: how node contexts get stacks and trade the token.
-  ExecutionModel exec_model_ = default_execution_model();
-  std::unique_ptr<ExecutionBackend> backend_;  ///< live only during run()
-  bool backend_concurrent_ = true;
+  std::unique_ptr<FiberBackend> backend_;  ///< live only during run()
 
   // Unmatched sends per destination node.
   std::vector<std::deque<PendingSend>> send_queues_;

@@ -225,7 +225,6 @@ sim::RunResult Cm5Machine::run(const Program& program) {
 sim::RunResult Cm5Machine::run_traced(const Program& program,
                                       sim::TraceSink sink) {
   sim::Kernel kernel(topo_);
-  kernel.set_execution_model(exec_model_);
   if (fault_plan_) kernel.set_fault_plan(*fault_plan_);
   kernel.set_trace(std::move(sink));
   return kernel.run([this, &program](sim::NodeHandle& handle) {

@@ -9,7 +9,7 @@
 
 /// \file fiber_context.hpp
 /// Stackful-fiber machinery behind the fiber execution backend
-/// (fiber_backend.cpp): context layout, boot image construction, the
+/// (fiber_backend.hpp): context layout, boot image construction, the
 /// switch primitive, and the sanitizer annotations that let
 /// AddressSanitizer and ThreadSanitizer follow a stack switch.
 ///

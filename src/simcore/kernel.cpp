@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "cm5/util/check.hpp"
+#include "fiber_backend.hpp"
 
 namespace cm5::sim {
 
@@ -38,14 +39,12 @@ std::int32_t NodeHandle::nprocs() const noexcept {
 }
 
 util::SimTime NodeHandle::now() const {
-  auto lock = kernel_->exec_lock();
   return kernel_->nodes_[idx(id_)].clock;
 }
 
 void NodeHandle::advance(util::SimDuration d) {
   CM5_CHECK_MSG(d >= 0, "cannot charge negative compute time");
   Kernel& k = *kernel_;
-  auto lock = k.exec_lock();
   k.check_abort(id_);
   Kernel::NodeState& me = k.nodes_[idx(id_)];
   // Gray failure: a slowed node's compute and per-message service time
@@ -59,7 +58,7 @@ void NodeHandle::advance(util::SimDuration d) {
   me.counters.compute_time += d;
   k.push_runnable(id_);
   k.emit(TraceEvent::Kind::Compute, me.clock, id_, -1, d);
-  k.yield(lock, id_);
+  k.yield(id_);
 }
 
 void NodeHandle::post_send(NodeId dst, std::int32_t tag,
@@ -85,7 +84,6 @@ void NodeHandle::send_impl(NodeId dst, std::int32_t tag,
                            std::vector<std::byte> payload, bool async) {
   Kernel& k = *kernel_;
   check_send_args("send", id_, dst, k.topo_.num_nodes(), user_bytes, payload);
-  auto lock = k.exec_lock();
   k.check_abort(id_);
   Kernel::NodeState& me = k.nodes_[idx(id_)];
   const bool dead = k.nodes_[idx(dst)].killed;
@@ -107,11 +105,11 @@ void NodeHandle::send_impl(NodeId dst, std::int32_t tag,
   if (async) {
     // Not blocking: the caller continues at its current clock. Yield so
     // the kernel can keep global time order (another node may be behind).
-    k.yield(lock, id_);
+    k.yield(id_);
     return;
   }
   k.mark_blocked(id_, "send_block to node", dst);
-  k.park(lock, id_);
+  k.park(id_);
   if (me.peer_failed) {
     me.peer_failed = false;
     throw_peer_failed("send", dst, " died before receiving");
@@ -120,13 +118,12 @@ void NodeHandle::send_impl(NodeId dst, std::int32_t tag,
 
 void NodeHandle::wait_async_sends() {
   Kernel& k = *kernel_;
-  auto lock = k.exec_lock();
   k.check_abort(id_);
   Kernel::NodeState& me = k.nodes_[idx(id_)];
   if (me.async_in_flight == 0) return;
   me.waiting_async_drain = true;
   k.mark_blocked(id_, "wait_async_sends", -1);
-  k.park(lock, id_);
+  k.park(id_);
 }
 
 Message NodeHandle::post_receive(NodeId src, std::int32_t tag) {
@@ -146,7 +143,6 @@ std::optional<Message> NodeHandle::receive_impl(
   Kernel& k = *kernel_;
   CM5_CHECK_MSG(src == kAnyNode || (src >= 0 && src < k.topo_.num_nodes()),
                 "receive: bad source filter");
-  auto lock = k.exec_lock();
   k.check_abort(id_);
   Kernel::NodeState& me = k.nodes_[idx(id_)];
   if (!timeout && src != kAnyNode && k.nodes_[idx(src)].killed) {
@@ -167,7 +163,7 @@ std::optional<Message> NodeHandle::receive_impl(
                  src == kAnyNode ? "receive_block from node ANY"
                                  : "receive_block from node",
                  src);  // kAnyNode is -1: no peer in the deadlock report
-  k.park(lock, id_);
+  k.park(id_);
   if (me.timed_out) {
     me.timed_out = false;
     return std::nullopt;
@@ -187,7 +183,6 @@ Message NodeHandle::post_swap(NodeId peer, std::int32_t tag,
                               std::vector<std::byte> payload) {
   Kernel& k = *kernel_;
   check_send_args("swap", id_, peer, k.topo_.num_nodes(), user_bytes, payload);
-  auto lock = k.exec_lock();
   k.check_abort(id_);
   Kernel::NodeState& me = k.nodes_[idx(id_)];
   if (k.nodes_[idx(peer)].killed) throw_peer_failed("swap", peer, " is dead");
@@ -219,7 +214,7 @@ Message NodeHandle::post_swap(NodeId peer, std::int32_t tag,
   }
 
   k.mark_blocked(id_, "swap with node", peer);
-  k.park(lock, id_);
+  k.park(id_);
   if (me.peer_failed) {
     me.peer_failed = false;
     throw_peer_failed("swap", peer, " died");
@@ -233,10 +228,8 @@ std::vector<std::byte> NodeHandle::global_op(
     std::span<const std::byte> contribution, util::SimDuration duration) {
   Kernel& k = *kernel_;
   CM5_CHECK(duration >= 0);
-  auto lock = k.exec_lock();
   k.check_abort(id_);
-  k.join_global_op(lock, id_, contribution, duration,
-                   "global_op (control network)");
+  k.join_global_op(id_, contribution, duration, "global_op (control network)");
   return std::move(k.nodes_[idx(id_)].gop_result);
 }
 
@@ -245,12 +238,11 @@ bool NodeHandle::try_barrier(util::SimDuration timeout,
   Kernel& k = *kernel_;
   CM5_CHECK(duration >= 0);
   CM5_CHECK_MSG(timeout >= 0, "barrier timeout must be non-negative");
-  auto lock = k.exec_lock();
   k.check_abort(id_);
   Kernel::NodeState& me = k.nodes_[idx(id_)];
   me.gop_deadline = me.clock + timeout;
   k.arm_timer(id_, *me.gop_deadline, Kernel::TimerKind::Barrier);
-  k.join_global_op(lock, id_, {}, duration, "try_barrier (control network)");
+  k.join_global_op(id_, {}, duration, "try_barrier (control network)");
   me.gop_deadline.reset();
   if (me.timed_out) {
     me.timed_out = false;
@@ -302,13 +294,8 @@ void Kernel::set_fault_plan(FaultPlan plan) {
   fault_plan_ = std::move(plan);
 }
 
-std::unique_lock<std::mutex> Kernel::exec_lock() {
-  if (backend_concurrent_) return std::unique_lock<std::mutex>(mutex_);
-  return std::unique_lock<std::mutex>(mutex_, std::defer_lock);
-}
-
-void Kernel::wait_for_token(std::unique_lock<std::mutex>& lock, NodeId me) {
-  backend_->park(lock, me, nodes_[idx(me)].has_token);
+void Kernel::wait_for_token(NodeId me) {
+  backend_->park(me, nodes_[idx(me)].has_token);
 }
 
 void Kernel::grant(NodeId id) {
@@ -316,9 +303,9 @@ void Kernel::grant(NodeId id) {
   backend_->unpark(id);
 }
 
-void Kernel::yield(std::unique_lock<std::mutex>& lock, NodeId me) {
+void Kernel::yield(NodeId me) {
   nodes_[idx(me)].has_token = false;
-  park(lock, me);
+  park(me);
 }
 
 void Kernel::mark_blocked(NodeId me, const char* label, NodeId peer) {
@@ -329,9 +316,9 @@ void Kernel::mark_blocked(NodeId me, const char* label, NodeId peer) {
   st.has_token = false;
 }
 
-void Kernel::park(std::unique_lock<std::mutex>& lock, NodeId me) {
-  schedule_next(lock);
-  wait_for_token(lock, me);
+void Kernel::park(NodeId me) {
+  schedule_next();
+  wait_for_token(me);
   check_abort(me);
   nodes_[idx(me)].blocked_on = nullptr;
 }
@@ -551,8 +538,7 @@ void Kernel::process_completions(util::SimTime t) {
   }
 }
 
-void Kernel::schedule_next(std::unique_lock<std::mutex>& lock) {
-  (void)lock;  // the kernel lock (exec_lock); documents the requirement
+void Kernel::schedule_next() {
   while (true) {
     if (abort_) {
       // Error path: release everyone so node contexts can unwind and exit.
@@ -650,7 +636,6 @@ void Kernel::schedule_next(std::unique_lock<std::mutex>& lock) {
 
     if (done_count_ == topo_.num_nodes()) {
       run_finished_ = true;
-      backend_->notify_finished();
       return;
     }
 
@@ -663,8 +648,7 @@ void Kernel::schedule_next(std::unique_lock<std::mutex>& lock) {
   }
 }
 
-void Kernel::join_global_op(std::unique_lock<std::mutex>& lock, NodeId me,
-                            std::span<const std::byte> contribution,
+void Kernel::join_global_op(NodeId me, std::span<const std::byte> contribution,
                             util::SimDuration duration, const char* label) {
   NodeState& st = nodes_[idx(me)];
   ++st.counters.global_ops;
@@ -676,7 +660,7 @@ void Kernel::join_global_op(std::unique_lock<std::mutex>& lock, NodeId me,
   ++gop_.arrivals;
   mark_blocked(me, label, -1);
   maybe_complete_global_op(st.clock, me);
-  park(lock, me);
+  park(me);
 }
 
 bool Kernel::leave_global_op(NodeId id) {
@@ -857,22 +841,15 @@ std::string Kernel::deadlock_report() const {
 }
 
 void Kernel::node_main(const NodeProgram& program, NodeId id) {
-  bool aborted_before_start = false;
-  {
-    auto lock = exec_lock();
-    wait_for_token(lock, id);
-    aborted_before_start = abort_;
-  }
+  wait_for_token(id);
   NodeHandle handle(this, id);
   try {
-    if (!aborted_before_start) program(handle);
+    if (!abort_) program(handle);
   } catch (const AbortError&) {
     // Another node failed first; unwind quietly.
   } catch (const DeadlockError&) {
-    auto lock = exec_lock();
     if (!first_error_) first_error_ = std::current_exception();
   } catch (...) {
-    auto lock = exec_lock();
     if (!first_error_) {
       first_error_ = std::current_exception();
       abort_ = true;
@@ -880,7 +857,6 @@ void Kernel::node_main(const NodeProgram& program, NodeId id) {
     }
   }
 
-  auto lock = exec_lock();
   NodeState& me = nodes_[idx(id)];
   me.status = NodeStatus::Done;
   me.has_token = false;
@@ -888,17 +864,14 @@ void Kernel::node_main(const NodeProgram& program, NodeId id) {
   emit(TraceEvent::Kind::NodeDone, me.clock, id);
   if (!abort_) {
     try {
-      schedule_next(lock);
+      schedule_next();
     } catch (...) {
       if (!first_error_) first_error_ = std::current_exception();
       abort_ = true;
       for (NodeId n = 0; n < topo_.num_nodes(); ++n) grant(n);
     }
   }
-  if (abort_ && done_count_ == topo_.num_nodes()) {
-    run_finished_ = true;
-    backend_->notify_finished();
-  }
+  if (abort_ && done_count_ == topo_.num_nodes()) run_finished_ = true;
 }
 
 RunResult Kernel::run(const NodeProgram& program) {
@@ -962,19 +935,12 @@ RunResult Kernel::run(const NodeProgram& program) {
   deadlock_message_.clear();
   first_error_ = nullptr;
 
-  backend_ = ExecutionBackend::create(exec_model_);
-  backend_concurrent_ = backend_->concurrent();
+  backend_ = std::make_unique<FiberBackend>();
   backend_->launch(n, [this, &program](NodeId i) { node_main(program, i); });
-
-  {
-    auto lock = exec_lock();
-    schedule_next(lock);  // grant the first token (node 0 at time 0)
-    backend_->drive(lock, run_finished_);
-  }
-  const ExecutionModel ran_model = backend_->model();
+  schedule_next();  // grant the first token (node 0 at time 0)
+  backend_->drive(run_finished_);
   const std::int64_t switches = backend_->switches();
   backend_.reset();
-  backend_concurrent_ = true;
 
   if (first_error_) std::rethrow_exception(first_error_);
   if (deadlock_) throw DeadlockError(deadlock_message_);
@@ -1001,7 +967,6 @@ RunResult Kernel::run(const NodeProgram& program) {
     result.node_counters.push_back(nodes_[idx(i)].counters);
   }
   result.network = fluid_->stats();
-  result.exec_model = ran_model;
   result.context_switches = switches;
   return result;
 }

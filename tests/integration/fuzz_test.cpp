@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <tuple>
 
 #include "cm5/machine/machine.hpp"
 #include "cm5/net/fluid_network.hpp"
@@ -389,112 +388,59 @@ TEST_P(FuzzTest, CheckpointKillResumeIsBitIdentical) {
   }
 }
 
-// --- fiber-vs-thread execution backend differential ------------------------
-//
-// The two execution backends must drive byte-identical simulations: same
-// trace event stream (order included), same per-node finish times and
-// counters, same network statistics. Each compared fiber/thread run pair
-// is one case: 12 seeds x (28 + 28 + 28) pairs >= 1000 cases across the
-// suite, fault-injected runs included.
+// --- run-to-run determinism of a traced run --------------------------------
 
-struct BackendCapture {
+struct RunCapture {
   std::vector<sim::TraceEvent> events;
   sim::RunResult result;
 };
 
-BackendCapture capture_run(sim::ExecutionModel model, std::int32_t nprocs,
-                           const std::optional<sim::FaultPlan>& plan,
-                           const machine::Program& program) {
+RunCapture capture_run(std::int32_t nprocs, const machine::Program& program) {
   Cm5Machine m(MachineParams::cm5_defaults(nprocs));
-  m.set_execution_model(model);
-  if (plan) m.set_fault_plan(*plan);
   sim::TraceRecorder recorder;
-  BackendCapture out;
+  RunCapture out;
   out.result = m.run_traced(program, recorder.sink());
   out.events = recorder.events();
   return out;
 }
 
-/// Core of every differential: the fiber and thread captures must
-/// describe byte-identical simulations — same event stream, same
-/// per-node results, same network stats. Host-side perf fields
-/// (context_switches) are deliberately NOT compared: they describe the
-/// mechanism, not the simulation.
-void expect_backends_identical(const BackendCapture& fib,
-                               const BackendCapture& thr,
-                               const std::string& what) {
-  EXPECT_EQ(fib.result.exec_model, sim::ExecutionModel::kFibers) << what;
-  EXPECT_EQ(thr.result.exec_model, sim::ExecutionModel::kThreads) << what;
-  ASSERT_EQ(fib.events.size(), thr.events.size()) << what;
-  for (std::size_t i = 0; i < fib.events.size(); ++i) {
-    const sim::TraceEvent& a = fib.events[i];
-    const sim::TraceEvent& b = thr.events[i];
+/// Two captures of the same program must describe byte-identical
+/// simulations — same event stream (order included), same per-node
+/// results, same network stats.
+void expect_runs_identical(const RunCapture& x, const RunCapture& y,
+                           const std::string& what) {
+  ASSERT_EQ(x.events.size(), y.events.size()) << what;
+  for (std::size_t i = 0; i < x.events.size(); ++i) {
+    const sim::TraceEvent& a = x.events[i];
+    const sim::TraceEvent& b = y.events[i];
     ASSERT_TRUE(a.kind == b.kind && a.time == b.time && a.node == b.node &&
                 a.peer == b.peer && a.bytes == b.bytes && a.tag == b.tag)
-        << what << " diverges at event " << i << ":\n  fibers : "
-        << sim::to_string(a) << "\n  threads: " << sim::to_string(b);
+        << what << " diverges at event " << i << ":\n  first : "
+        << sim::to_string(a) << "\n  second: " << sim::to_string(b);
   }
-  EXPECT_EQ(fib.result.makespan, thr.result.makespan) << what;
-  EXPECT_EQ(fib.result.finish_time, thr.result.finish_time) << what;
-  ASSERT_EQ(fib.result.node_counters.size(),
-            thr.result.node_counters.size());
-  for (std::size_t i = 0; i < fib.result.node_counters.size(); ++i) {
-    const sim::NodeCounters& a = fib.result.node_counters[i];
-    const sim::NodeCounters& b = thr.result.node_counters[i];
+  EXPECT_EQ(x.result.makespan, y.result.makespan) << what;
+  EXPECT_EQ(x.result.finish_time, y.result.finish_time) << what;
+  ASSERT_EQ(x.result.node_counters.size(), y.result.node_counters.size());
+  for (std::size_t i = 0; i < x.result.node_counters.size(); ++i) {
+    const sim::NodeCounters& a = x.result.node_counters[i];
+    const sim::NodeCounters& b = y.result.node_counters[i];
     EXPECT_EQ(a.sends, b.sends) << what << " node " << i;
     EXPECT_EQ(a.receives, b.receives) << what << " node " << i;
     EXPECT_EQ(a.bytes_sent, b.bytes_sent) << what << " node " << i;
     EXPECT_EQ(a.global_ops, b.global_ops) << what << " node " << i;
     EXPECT_EQ(a.compute_time, b.compute_time) << what << " node " << i;
   }
-  EXPECT_EQ(fib.result.network.flows_started,
-            thr.result.network.flows_started)
+  EXPECT_EQ(x.result.network.flows_started, y.result.network.flows_started)
       << what;
-  EXPECT_EQ(fib.result.network.flows_completed,
-            thr.result.network.flows_completed)
+  EXPECT_EQ(x.result.network.flows_completed,
+            y.result.network.flows_completed)
       << what;
-  EXPECT_EQ(fib.result.network.bytes_by_level,
-            thr.result.network.bytes_by_level)
+  EXPECT_EQ(x.result.network.bytes_by_level, y.result.network.bytes_by_level)
       << what;
 }
 
-void compare_backends(std::int32_t nprocs,
-                      const std::optional<sim::FaultPlan>& plan,
-                      const machine::Program& program,
-                      const std::string& what) {
-  const BackendCapture fib =
-      capture_run(sim::ExecutionModel::kFibers, nprocs, plan, program);
-  const BackendCapture thr =
-      capture_run(sim::ExecutionModel::kThreads, nprocs, plan, program);
-  expect_backends_identical(fib, thr, what);
-}
-
-TEST_P(FuzzTest, BackendDifferentialSchedulesAgree) {
-  // 28 pairs per seed: 7 random patterns x 4 schedulers, clean runs.
-  const std::uint64_t seed = GetParam();
-  util::Rng rng(seed * 6151 + 11);
-  for (int variant = 0; variant < 7; ++variant) {
-    const auto nprocs = static_cast<std::int32_t>(1 << rng.next_in(2, 5));
-    const double density = 0.10 + rng.next_double() * 0.6;
-    const auto bytes = rng.next_in(1, 2048);
-    const auto pattern = patterns::random_density(
-        nprocs, density, bytes, seed * 101 + static_cast<std::uint64_t>(variant));
-    for (const auto scheduler :
-         {sched::Scheduler::Linear, sched::Scheduler::Pairwise,
-          sched::Scheduler::Balanced, sched::Scheduler::Greedy}) {
-      const auto schedule = sched::build_schedule(scheduler, pattern);
-      compare_backends(
-          nprocs, std::nullopt,
-          [&](Node& node) { sched::execute_schedule(node, schedule); },
-          "seed " + std::to_string(seed) + " variant " +
-              std::to_string(variant) + " " +
-              std::string(sched::scheduler_name(scheduler)));
-    }
-  }
-}
-
-TEST_P(FuzzTest, BackendDifferentialPrimitiveSoupAgrees) {
-  // 28 pairs per seed: random programs exercising every blocking
+TEST_P(FuzzTest, PrimitiveSoupIsDeterministic) {
+  // 28 run pairs per seed: random programs exercising every blocking
   // primitive — compute, barriers, timed barriers, reductions, swaps,
   // async sends with drains, and timed receives that really expire.
   const std::uint64_t seed = GetParam();
@@ -539,7 +485,7 @@ TEST_P(FuzzTest, BackendDifferentialPrimitiveSoupAgrees) {
             break;
           case 4:
             // Nothing was sent with this tag: the timed receive must
-            // expire on both backends at exactly the same instant.
+            // expire, at the same instant in both runs.
             EXPECT_FALSE(
                 node.receive_timeout(prev, 9999, util::from_us(25)));
             break;
@@ -559,129 +505,10 @@ TEST_P(FuzzTest, BackendDifferentialPrimitiveSoupAgrees) {
       }
       node.barrier();
     };
-    compare_backends(nprocs, std::nullopt, program,
-                     "seed " + std::to_string(seed) + " soup " +
-                         std::to_string(variant));
-  }
-}
-
-TEST_P(FuzzTest, BackendDifferentialFaultyRunsAgree) {
-  // 28 pairs per seed under fault injection: drops, delays, degrades and
-  // fail-stop deaths, executed through the resilient executor's timed
-  // retry loop. The fail-stop unwind exercises the backends' release-
-  // everyone abort path.
-  const std::uint64_t seed = GetParam();
-  for (int variant = 0; variant < 28; ++variant) {
-    util::Rng shape(seed * 1543 + static_cast<std::uint64_t>(variant) * 7);
-    const std::int32_t nprocs = 8;
-    const auto pattern = patterns::exact_density(
-        nprocs, 0.15 + 0.5 * shape.next_double(), 256,
-        seed * 977 + static_cast<std::uint64_t>(variant));
-    const auto schedule =
-        sched::build_schedule(sched::Scheduler::Greedy, pattern);
-
-    sim::FaultPlan plan;
-    plan.seed = seed * 53 + static_cast<std::uint64_t>(variant);
-    plan.drop_prob = 0.05 * static_cast<double>(shape.next_in(0, 2));
-    plan.delay_prob = 0.10;
-    plan.delay = util::from_us(50);
-    if (variant % 3 == 1) {
-      plan.deaths.push_back(
-          {static_cast<machine::NodeId>(shape.next_below(
-               static_cast<std::uint64_t>(nprocs))),
-           util::from_us(shape.next_in(100, 900))});
-    }
-
-    const auto resilient_capture = [&](sim::ExecutionModel model) {
-      Cm5Machine m(MachineParams::cm5_defaults(nprocs));
-      m.set_execution_model(model);
-      m.set_fault_plan(plan);
-      sim::TraceRecorder recorder;
-      sched::ResilientOptions options;
-      options.trace = recorder.sink();
-      const auto report = sched::run_resilient_schedule(m, schedule, options);
-      BackendCapture out;
-      out.result = report.run;
-      out.events = recorder.events();
-      return std::pair(std::move(out), report.to_json().dump());
-    };
-    const auto [fib, fib_report] =
-        resilient_capture(sim::ExecutionModel::kFibers);
-    const auto [thr, thr_report] =
-        resilient_capture(sim::ExecutionModel::kThreads);
-    const std::string what =
-        "seed " + std::to_string(seed) + " faulty " + std::to_string(variant);
-    expect_backends_identical(fib, thr, what);
-    // The whole report — counts, per-step timings, digests — byte for
-    // byte.
-    EXPECT_EQ(fib_report, thr_report) << what;
-  }
-}
-
-TEST_P(FuzzTest, BackendDifferentialCheckpointResumeAgrees) {
-  // Checkpoint/resume across backends: a checkpoint taken on one backend
-  // resumes on the other, and the resumed report must still match the
-  // uninterrupted fiber run byte for byte.
-  const std::uint64_t seed = GetParam();
-  const std::int32_t nprocs = 8;
-  const auto pattern = patterns::exact_density(
-      nprocs, 0.2 + 0.5 * static_cast<double>(seed % 4) / 3.0, 256,
-      seed * 859 + 5);
-  const auto schedule =
-      sched::build_schedule(sched::Scheduler::Balanced, pattern);
-
-  sim::FaultPlan plan;
-  plan.seed = seed * 17 + 3;
-  plan.drop_prob = 0.04;
-  plan.corrupt_prob = 0.02;
-  if (seed % 3 == 0) {
-    plan.deaths.push_back({static_cast<machine::NodeId>(seed % nprocs),
-                           util::from_us(1500)});
-  }
-
-  const auto machine_on = [&](sim::ExecutionModel model) {
-    Cm5Machine m(MachineParams::cm5_defaults(nprocs));
-    m.set_execution_model(model);
-    m.set_fault_plan(plan);
-    return m;
-  };
-  sched::ResilientOptions options;
-  options.measure_fault_free_baseline = false;
-
-  Cm5Machine full_machine = machine_on(sim::ExecutionModel::kFibers);
-  const auto full =
-      sched::run_resilient_schedule(full_machine, schedule, options);
-  const std::string want = full.to_json().dump();
-
-  // Kill after the first step on threads and resume on fibers, then
-  // kill after the last step on fibers and resume on threads.
-  const std::int32_t last = schedule.num_steps() - 1;
-  for (const auto& [step, kill_on, resume_on] :
-       {std::tuple{std::int32_t{0}, sim::ExecutionModel::kThreads,
-                   sim::ExecutionModel::kFibers},
-        std::tuple{last, sim::ExecutionModel::kFibers,
-                   sim::ExecutionModel::kThreads}}) {
-    std::shared_ptr<const sched::ResilientCheckpoint> token;
-    sched::ResilientOptions stop = options;
-    stop.stop_after_step = step;
-    stop.checkpoint_sink = [&](const sched::ResilientCheckpoint& cp) {
-      token = std::make_shared<sched::ResilientCheckpoint>(cp);
-    };
-    Cm5Machine stop_machine = machine_on(kill_on);
-    const auto partial =
-        sched::run_resilient_schedule(stop_machine, schedule, stop);
-    ASSERT_NE(token, nullptr) << "seed " << seed << " step " << step;
-    EXPECT_EQ(partial.steps_completed, step + 1);
-
-    sched::ResilientOptions resume = options;
-    resume.resume_from = token;
-    Cm5Machine resume_machine = machine_on(resume_on);
-    const auto resumed =
-        sched::run_resilient_schedule(resume_machine, schedule, resume);
-    EXPECT_EQ(resumed.to_json().dump(), want)
-        << "seed " << seed << " killed after step " << step << " on "
-        << sim::to_string(kill_on) << ", resumed on "
-        << sim::to_string(resume_on);
+    expect_runs_identical(capture_run(nprocs, program),
+                          capture_run(nprocs, program),
+                          "seed " + std::to_string(seed) + " soup " +
+                              std::to_string(variant));
   }
 }
 
@@ -691,9 +518,9 @@ TEST_P(FuzzTest, BackendDifferentialCheckpointResumeAgrees) {
 // promise byte-identical output to the retained batch oracles
 // (sim::analyze_batch / sim::validate_trace_batch) on any kernel-
 // produced trace. Each compared trace is one case: 12 seeds x
-// (28 clean + 28 faulty + 28 thread-backend) >= 1000 cases across the
-// suite. Metrics are compared through their full JSON dump (every node,
-// step and link row), violations as exact string vectors.
+// (28 clean + 28 faulty) cases across the suite. Metrics are compared
+// through their full JSON dump (every node, step and link row),
+// violations as exact string vectors.
 
 void expect_streaming_matches_batch(const std::vector<sim::TraceEvent>& events,
                                     std::int32_t nprocs,
@@ -727,9 +554,8 @@ TEST_P(FuzzTest, StreamingAnalysisMatchesBatchOnSchedules) {
          {sched::Scheduler::Linear, sched::Scheduler::Pairwise,
           sched::Scheduler::Balanced, sched::Scheduler::Greedy}) {
       const auto schedule = sched::build_schedule(scheduler, pattern);
-      const BackendCapture cap = capture_run(
-          sim::ExecutionModel::kFibers, nprocs, std::nullopt,
-          [&](Node& node) { sched::execute_schedule(node, schedule); });
+      const RunCapture cap = capture_run(
+          nprocs, [&](Node& node) { sched::execute_schedule(node, schedule); });
       expect_streaming_matches_batch(
           cap.events, nprocs, &cap.result,
           "seed " + std::to_string(seed) + " variant " +
@@ -776,34 +602,6 @@ TEST_P(FuzzTest, StreamingAnalysisMatchesBatchOnFaultyRuns) {
     expect_streaming_matches_batch(
         recorder.events(), nprocs, &report.run,
         "seed " + std::to_string(seed) + " faulty " + std::to_string(variant));
-  }
-}
-
-TEST_P(FuzzTest, StreamingAnalysisMatchesBatchOnThreads) {
-  // 28 cases per seed, every trace produced by the thread oracle: its
-  // node programs hand the token across real OS threads, so the
-  // streaming consumers see the (backend-invariant) event stream
-  // committed from many threads instead of one.
-  const std::uint64_t seed = GetParam();
-  util::Rng rng(seed * 5381 + 23);
-  for (int variant = 0; variant < 28; ++variant) {
-    const auto nprocs = static_cast<std::int32_t>(1 << rng.next_in(2, 4));
-    const double density = 0.15 + rng.next_double() * 0.5;
-    const auto bytes = rng.next_in(1, 1024);
-    const auto pattern = patterns::random_density(
-        nprocs, density, bytes,
-        seed * 743 + static_cast<std::uint64_t>(variant));
-    const auto schedule =
-        sched::build_schedule(variant % 2 == 0 ? sched::Scheduler::Pairwise
-                                               : sched::Scheduler::Balanced,
-                              pattern);
-    const BackendCapture cap = capture_run(
-        sim::ExecutionModel::kThreads, nprocs, std::nullopt,
-        [&](Node& node) { sched::execute_schedule(node, schedule); });
-    expect_streaming_matches_batch(
-        cap.events, nprocs, &cap.result,
-        "seed " + std::to_string(seed) + " variant " +
-            std::to_string(variant));
   }
 }
 

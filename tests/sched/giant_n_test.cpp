@@ -10,9 +10,9 @@
 #include "cm5/machine/machine.hpp"
 #include "cm5/sched/broadcast.hpp"
 #include "cm5/sched/complete_exchange.hpp"
-#include "cm5/sim/golden_guard.hpp"
 #include "cm5/sim/metrics.hpp"
 #include "cm5/sim/sanitizer.hpp"
+#include "golden_regen.hpp"
 
 /// Giant-partition regression battery (`ctest -L giantn`): the paper's
 /// asymptotic claims checked at partition sizes the CM-5 never shipped
@@ -33,17 +33,9 @@
 ///    point; BEX's quadratic growth is exactly why the paper ranks REX
 ///    above it at scale.
 ///
-/// Execution configuration is pinned, not inherited: giant runs always
-/// use fiber stacks (8192 OS threads is not a thing a test host — or
-/// TSAN — will do), also under CM5_EXEC_THREADS=1. The backend never
-/// changes simulated results, so the goldens hold in every
-/// configuration.
-///
 /// Regenerate after an intentional model change:
 ///
 ///   CM5_REGEN_GOLDEN=1 ctest -R GiantN
-///
-/// (refused under non-default execution configs — cm5/sim/golden_guard.hpp).
 
 #ifndef CM5_GOLDEN_DIR
 #error "CM5_GOLDEN_DIR must be defined by the build (tests/sched/CMakeLists.txt)"
@@ -55,8 +47,6 @@ namespace {
 using machine::Cm5Machine;
 using machine::MachineParams;
 using machine::Node;
-
-bool regen_mode() { return sim::golden_regen_requested(); }
 
 std::string golden_path(const std::string& name) {
   return std::string(CM5_GOLDEN_DIR) + "/" + name + ".summary";
@@ -97,13 +87,6 @@ std::string summarize(const sim::RunResult& r) {
   return out.str();
 }
 
-/// Fiber-stack execution regardless of environment.
-Cm5Machine giant_machine(std::int32_t nprocs) {
-  Cm5Machine m(MachineParams::cm5_defaults(nprocs));
-  m.set_execution_model(sim::ExecutionModel::kFibers);
-  return m;
-}
-
 /// Sanitizers break the giant runs' budgets: ThreadSanitizer multiplies
 /// wall time, and AddressSanitizer's shadow memory alone is several times
 /// the RSS budget. The trend still gets checked at the sizes that fit,
@@ -113,7 +96,7 @@ constexpr bool reduced_budget() { return CM5_ASAN || CM5_TSAN; }
 
 void check_golden(const std::string& name, const sim::RunResult& r) {
   const std::string text = summarize(r);
-  if (regen_mode()) {
+  if (test::golden_regen_requested()) {
     write_golden(name, text);
     GTEST_SKIP() << "regenerated " << golden_path(name);
   }
@@ -138,7 +121,7 @@ TEST(GiantN, RecursiveExchangeScalesAsLgN) {
   for (const std::int32_t n : sizes) {
     std::int32_t lg = 0;
     while ((1 << lg) < n) ++lg;
-    Cm5Machine m = giant_machine(n);
+    Cm5Machine m(MachineParams::cm5_defaults(n));
     const sim::RunResult r = m.run([&](Node& node) {
       complete_exchange(node, ExchangeAlgorithm::Recursive, 64);
     });
@@ -166,7 +149,7 @@ TEST(GiantN, StreamingRex8192AnalyzesUnderRssBudget) {
   }
   const std::int32_t n = 8192;
   const std::int32_t lg = 13;
-  Cm5Machine m = giant_machine(n);
+  Cm5Machine m(MachineParams::cm5_defaults(n));
   const machine::ObservedRun run = m.run_observed([&](Node& node) {
     complete_exchange(node, ExchangeAlgorithm::Recursive, 64);
   });
@@ -194,7 +177,7 @@ TEST(GiantN, LinearBroadcast8192Golden) {
   if (reduced_budget()) {
     GTEST_SKIP() << "giant goldens are covered by non-sanitizer builds";
   }
-  Cm5Machine m = giant_machine(8192);
+  Cm5Machine m(MachineParams::cm5_defaults(8192));
   const sim::RunResult r = m.run([&](Node& node) {
     broadcast(node, BroadcastAlgorithm::Linear, 0, 64);
   });
@@ -203,7 +186,7 @@ TEST(GiantN, LinearBroadcast8192Golden) {
 }
 
 TEST(GiantN, BalancedExchange1024Golden) {
-  Cm5Machine m = giant_machine(1024);
+  Cm5Machine m(MachineParams::cm5_defaults(1024));
   const sim::RunResult r = m.run([&](Node& node) {
     complete_exchange(node, ExchangeAlgorithm::Balanced, 64);
   });

@@ -13,9 +13,9 @@
 #include "cm5/sched/builders.hpp"
 #include "cm5/sched/complete_exchange.hpp"
 #include "cm5/sched/executor.hpp"
-#include "cm5/sim/golden_guard.hpp"
 #include "cm5/sim/metrics.hpp"
 #include "cm5/sim/trace.hpp"
+#include "golden_regen.hpp"
 
 /// Golden-trace regression tests: seeded 8-node runs of every regular
 /// algorithm (LEX/PEX/REX/BEX) and every irregular scheduler
@@ -47,11 +47,6 @@ constexpr std::int32_t kProcs = 8;
 constexpr std::int64_t kBytes = 256;
 constexpr std::uint64_t kSeed = 42;
 constexpr double kDensity = 0.35;
-
-// The guard refuses (throws, failing the test) when regeneration is
-// requested under a non-default execution configuration — see
-// cm5/sim/golden_guard.hpp.
-bool regen_mode() { return sim::golden_regen_requested(); }
 
 /// Full trace serialization: every event, one to_string() line each, in
 /// execution order (which the sequential kernel makes deterministic).
@@ -101,7 +96,7 @@ void check_golden(const std::string& name,
   ASSERT_EQ(r.makespan, r2.makespan) << name;
   ASSERT_EQ(text, serialize(recorder2)) << name << ": nondeterministic trace";
 
-  if (regen_mode()) {
+  if (test::golden_regen_requested()) {
     write_golden(name, text);
     GTEST_SKIP() << "regenerated " << golden_path(name);
   }

@@ -8,15 +8,14 @@
 
 #include "cm5/machine/machine.hpp"
 #include "cm5/sched/complete_exchange.hpp"
-#include "cm5/sim/golden_guard.hpp"
+#include "golden_regen.hpp"
 
 /// Golden baselines for the ext_machines large-partition rows: recursive
-/// complete exchange at N = 1024 and N = 2048 (the sizes the fiber
-/// execution backend unlocked — thread-per-node could not launch them).
+/// complete exchange at N = 1024 and N = 2048 (sizes that fiber stacks
+/// make affordable).
 /// Full traces at this scale are megabytes, so the committed golden is a
 /// compact summary: makespan plus the aggregate counters that pin the
-/// communication volume. The kernel is deterministic and backend-
-/// invariant, so these values are identical under CM5_EXEC_THREADS=1.
+/// communication volume.
 ///
 /// To regenerate after an intentional model change:
 ///
@@ -34,11 +33,6 @@ namespace {
 using machine::Cm5Machine;
 using machine::MachineParams;
 using machine::Node;
-
-// The guard refuses (throws, failing the test) when regeneration is
-// requested under a non-default execution configuration — see
-// cm5/sim/golden_guard.hpp.
-bool regen_mode() { return sim::golden_regen_requested(); }
 
 std::string golden_path(const std::string& name) {
   return std::string(CM5_GOLDEN_DIR) + "/" + name + ".summary";
@@ -87,7 +81,7 @@ void check_golden(const std::string& name, std::int32_t nprocs,
   });
   const std::string text = summarize(r);
 
-  if (regen_mode()) {
+  if (test::golden_regen_requested()) {
     write_golden(name, text);
     GTEST_SKIP() << "regenerated " << golden_path(name);
   }

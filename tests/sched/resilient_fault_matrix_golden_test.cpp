@@ -14,8 +14,8 @@
 #include "cm5/sched/pattern.hpp"
 #include "cm5/sched/resilient_executor.hpp"
 #include "cm5/sim/fault.hpp"
-#include "cm5/sim/golden_guard.hpp"
 #include "cm5/util/time.hpp"
+#include "golden_regen.hpp"
 
 /// Golden baselines for the fault matrix (bench/ext_fault_matrix.cpp):
 /// the resilient executor run against every fault class — probabilistic,
@@ -46,11 +46,6 @@ using util::from_us;
 
 constexpr std::int32_t kNodes = 16;
 constexpr std::int64_t kBytes = 512;
-
-// The guard refuses (throws, failing the test) when regeneration is
-// requested under a non-default execution configuration — see
-// cm5/sim/golden_guard.hpp.
-bool regen_mode() { return sim::golden_regen_requested(); }
 
 std::string golden_path() {
   return std::string(CM5_GOLDEN_DIR) + "/fault_matrix.summary";
@@ -159,7 +154,7 @@ std::string build_summary() {
 
 TEST(ResilientFaultMatrixGolden, SummaryMatchesCommittedBaseline) {
   const std::string text = build_summary();
-  if (regen_mode()) {
+  if (test::golden_regen_requested()) {
     std::ofstream out(golden_path(), std::ios::binary | std::ios::trunc);
     ASSERT_TRUE(out.good()) << "cannot write " << golden_path();
     out << text;

@@ -21,7 +21,6 @@ namespace {
 TEST(SolveCount, Rex4096At64BytesSolvesOncePerInstant) {
   constexpr std::int32_t kNodes = 4096;
   machine::Cm5Machine m(machine::MachineParams::cm5_defaults(kNodes));
-  m.set_execution_model(sim::ExecutionModel::kFibers);  // 4096 nodes
   const sim::RunResult r = m.run([](machine::Node& node) {
     complete_exchange(node, ExchangeAlgorithm::Recursive, 64);
   });

@@ -6,7 +6,7 @@
 
 #include "cm5/machine/machine.hpp"
 #include "cm5/sched/stream.hpp"
-#include "cm5/sim/golden_guard.hpp"
+#include "golden_regen.hpp"
 
 /// Committed golden summary for the reference streaming scenario — the
 /// same (nodes, requests, seed) triple bench/ext_stream's smoke rows
@@ -18,9 +18,6 @@
 /// To regenerate after an intentional model change:
 ///
 ///   CM5_REGEN_GOLDEN=1 ctest -R sched_stream_golden
-///
-/// (guarded by cm5/sim/golden_guard.hpp: regeneration under a
-/// non-default execution backend is refused).
 
 #ifndef CM5_GOLDEN_DIR
 #error "CM5_GOLDEN_DIR must be defined by the build (tests/sched/CMakeLists.txt)"
@@ -87,7 +84,7 @@ TEST(StreamGolden, Reference16x60) {
       << "first violation: " << report.violations.front();
   const std::string text = summarize(report);
 
-  if (sim::golden_regen_requested()) {
+  if (test::golden_regen_requested()) {
     std::ofstream out(golden_path(), std::ios::binary | std::ios::trunc);
     ASSERT_TRUE(out.good()) << "cannot write " << golden_path();
     out << text;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -13,22 +12,19 @@
 #include "cm5/patterns/synthetic.hpp"
 #include "cm5/sched/builders.hpp"
 #include "cm5/sched/resilient_executor.hpp"
-#include "cm5/sim/exec_backend.hpp"
 #include "cm5/sim/fault.hpp"
 #include "cm5/util/time.hpp"
 
-/// Timed primitives on both execution backends. The stream executor's
-/// whole determinism story rests on receive_timeout and try_barrier
-/// expiring at the *same simulated instant* regardless of which host
-/// mechanism carries the node programs — a backend that delivers a
-/// wakeup early or late would silently skew every resilient recovery
-/// window. These tests pin:
+/// Timed primitives, run twice. The stream executor's whole determinism
+/// story rests on receive_timeout and try_barrier expiring at the *same
+/// simulated instant* on every run — a wakeup delivered early or late
+/// would silently skew every resilient recovery window. These tests pin:
 ///
 ///   * expiry instants of both timed primitives, observed per node,
-///     byte-identical across kFibers and kThreads;
+///     byte-identical across two runs;
 ///   * the resilient executor's drop-driven recovery windows (its retry
 ///     loop is built on receive_timeout) producing byte-identical run
-///     reports across backends, with recv_timeouts > 0 proving the
+///     reports across two runs, with recv_timeouts > 0 proving the
 ///     windows actually expired rather than the run staying on the fast
 ///     path.
 
@@ -63,24 +59,20 @@ std::string dump_expiries(std::vector<Expiry> expiries) {
   return out;
 }
 
-/// Runs the timed-primitive program on one backend and returns
-/// (makespan, sorted expiry log).
-std::pair<std::int64_t, std::string> run_timed_program(
-    sim::ExecutionModel model) {
+/// Runs the timed-primitive program and returns (makespan, sorted expiry
+/// log).
+std::pair<std::int64_t, std::string> run_timed_program() {
   Cm5Machine m(MachineParams::cm5_defaults(kNodes));
-  m.set_execution_model(model);
-  std::mutex mu;
   std::vector<Expiry> expiries;
   const auto record = [&](std::int32_t node, std::int64_t at,
                           std::int32_t kind) {
-    const std::lock_guard<std::mutex> lock(mu);
     expiries.push_back({node, at, kind});
   };
   const auto result = m.run([&](Node& node) {
     const std::int32_t self = node.self();
     // Stagger the nodes so their waits interleave, then post a
     // receive nobody will ever satisfy: it must expire exactly 40 us
-    // after it was posted, on every backend.
+    // after it was posted.
     node.compute(from_us(self * 3));
     const auto nothing =
         node.receive_timeout((self + 1) % kNodes, 4242, from_us(40));
@@ -100,7 +92,7 @@ std::pair<std::int64_t, std::string> run_timed_program(
     }
 
     // A timed barrier node 0 never joins in time: every other node's
-    // withdrawal instant must agree across backends.
+    // withdrawal instant must repeat.
     if (self == 0) {
       node.compute(from_us(5000));
       node.barrier();
@@ -113,18 +105,17 @@ std::pair<std::int64_t, std::string> run_timed_program(
   return {result.makespan, dump_expiries(std::move(expiries))};
 }
 
-TEST(TimedPrimitivesAcrossBackends, ExpiryInstantsAgree) {
-  const auto fibers = run_timed_program(sim::ExecutionModel::kFibers);
-  EXPECT_FALSE(fibers.second.empty());
-  const auto threads = run_timed_program(sim::ExecutionModel::kThreads);
-  EXPECT_EQ(threads.first, fibers.first) << "makespan";
-  EXPECT_EQ(threads.second, fibers.second) << "expiry log diverged";
+TEST(TimedPrimitivesDeterminism, ExpiryInstantsRepeat) {
+  const auto first = run_timed_program();
+  EXPECT_FALSE(first.second.empty());
+  const auto second = run_timed_program();
+  EXPECT_EQ(second.first, first.first) << "makespan";
+  EXPECT_EQ(second.second, first.second) << "expiry log diverged";
 }
 
 /// The resilient executor's recovery windows are receive_timeout calls;
 /// heavy drops force them to expire and drive the retry loop.
-std::string run_resilient_under_drops(sim::ExecutionModel model,
-                                      std::int64_t* recv_timeouts) {
+std::string run_resilient_under_drops(std::int64_t* recv_timeouts) {
   const auto pattern =
       patterns::random_density(kNodes, 0.45, 512, /*seed=*/923);
   const auto schedule =
@@ -138,7 +129,6 @@ std::string run_resilient_under_drops(sim::ExecutionModel model,
   plan.burst.loss_bad = 0.8;
 
   Cm5Machine m(MachineParams::cm5_defaults(kNodes));
-  m.set_execution_model(model);
   m.set_fault_plan(plan);
 
   sched::ResilientOptions options;
@@ -150,18 +140,16 @@ std::string run_resilient_under_drops(sim::ExecutionModel model,
   return report.to_json().dump();
 }
 
-TEST(TimedPrimitivesAcrossBackends, RecoveryWindowsAgree) {
-  std::int64_t fiber_timeouts = 0;
-  const std::string fibers = run_resilient_under_drops(
-      sim::ExecutionModel::kFibers, &fiber_timeouts);
+TEST(TimedPrimitivesDeterminism, RecoveryWindowsRepeat) {
+  std::int64_t first_timeouts = 0;
+  const std::string first = run_resilient_under_drops(&first_timeouts);
   // The point of the scenario: recovery windows really expired.
-  EXPECT_GT(fiber_timeouts, 0);
+  EXPECT_GT(first_timeouts, 0);
 
-  std::int64_t thread_timeouts = 0;
-  const std::string threads = run_resilient_under_drops(
-      sim::ExecutionModel::kThreads, &thread_timeouts);
-  EXPECT_EQ(threads, fibers) << "resilient report diverged";
-  EXPECT_EQ(thread_timeouts, fiber_timeouts);
+  std::int64_t second_timeouts = 0;
+  const std::string second = run_resilient_under_drops(&second_timeouts);
+  EXPECT_EQ(second, first) << "resilient report diverged";
+  EXPECT_EQ(second_timeouts, first_timeouts);
 }
 
 }  // namespace

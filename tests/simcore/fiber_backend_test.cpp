@@ -11,10 +11,7 @@
 /// \file fiber_backend_test.cpp
 /// Stress and edge-case tests for the fiber execution backend: partition
 /// sizes far beyond what thread-per-node could launch comfortably, the
-/// timed-wait primitives on fibers, and backend selection.
-/// Under TSAN these all run on the thread backend (the pinning is itself
-/// asserted) — the fiber-specific coverage comes from the default and
-/// ASAN configurations.
+/// timed-wait primitives on fibers, failure unwinding and kernel reuse.
 
 namespace cm5::sim {
 namespace {
@@ -25,22 +22,9 @@ net::FatTreeTopology make_topo(std::int32_t n) {
   return net::FatTreeTopology(net::FatTreeConfig::cm5(n));
 }
 
-TEST(FiberBackendTest, ModelSelectionAndCoercion) {
-  auto topo = make_topo(4);
-  Kernel kernel(topo);
-  kernel.set_execution_model(ExecutionModel::kFibers);
-  const RunResult r = kernel.run([](NodeHandle& h) { h.advance(from_us(1)); });
-  EXPECT_EQ(r.exec_model, ExecutionModel::kFibers);
-  EXPECT_GT(r.context_switches, 0);
-
-  kernel.set_execution_model(ExecutionModel::kThreads);
-  const RunResult rt = kernel.run([](NodeHandle& h) { h.advance(from_us(1)); });
-  EXPECT_EQ(rt.exec_model, ExecutionModel::kThreads);
-}
-
 TEST(FiberBackendTest, ToStringNamesAreStable) {
-  EXPECT_STREQ(to_string(ExecutionModel::kFibers), "fibers");
-  EXPECT_STREQ(to_string(ExecutionModel::kThreads), "threads");
+  // benchmark/src records this string as its config.backend.
+  EXPECT_STREQ(to_string(default_execution_model()), "fibers");
 }
 
 TEST(FiberBackendTest, FourThousandNodeBarrierAndRingSmoke) {
@@ -51,7 +35,6 @@ TEST(FiberBackendTest, FourThousandNodeBarrierAndRingSmoke) {
   const std::int32_t n = 4096;
   auto topo = make_topo(n);
   Kernel kernel(topo);
-  kernel.set_execution_model(ExecutionModel::kFibers);
   const RunResult r = kernel.run([n](NodeHandle& h) {
     h.advance(from_us(static_cast<std::int64_t>(h.id() % 7) + 1));
     h.global_op({}, from_us(4));
@@ -79,7 +62,6 @@ TEST(FiberBackendTest, FourThousandNodeBarrierAndRingSmoke) {
 TEST(FiberBackendTest, ReceiveTimeoutExpiresExactlyOnFibers) {
   auto topo = make_topo(4);
   Kernel kernel(topo);
-  kernel.set_execution_model(ExecutionModel::kFibers);
   const RunResult r = kernel.run([](NodeHandle& h) {
     if (h.id() == 0) {
       // Nothing ever arrives with this tag: resume exactly at deadline.
@@ -100,7 +82,6 @@ TEST(FiberBackendTest, ReceiveTimeoutExpiresExactlyOnFibers) {
 TEST(FiberBackendTest, ZeroTimeoutReceiveExpiresImmediately) {
   auto topo = make_topo(2);
   Kernel kernel(topo);
-  kernel.set_execution_model(ExecutionModel::kFibers);
   kernel.run([](NodeHandle& h) {
     if (h.id() == 0) {
       EXPECT_FALSE(h.post_receive_timeout(1, 5, 0).has_value());
@@ -112,7 +93,6 @@ TEST(FiberBackendTest, ZeroTimeoutReceiveExpiresImmediately) {
 TEST(FiberBackendTest, TryBarrierTimesOutAndLaterSucceedsOnFibers) {
   auto topo = make_topo(4);
   Kernel kernel(topo);
-  kernel.set_execution_model(ExecutionModel::kFibers);
   kernel.run([](NodeHandle& h) {
     if (h.id() == 0) {
       // Node 0 arrives alone: the timed barrier must expire at its
@@ -133,7 +113,6 @@ TEST(FiberBackendTest, FailStopUnwindWorksOnFibers) {
   // survivors complete their barrier without the dead node.
   auto topo = make_topo(4);
   Kernel kernel(topo);
-  kernel.set_execution_model(ExecutionModel::kFibers);
   FaultPlan plan;
   plan.deaths.push_back({2, from_us(50)});
   kernel.set_fault_plan(plan);
@@ -153,7 +132,6 @@ TEST(FiberBackendTest, FailStopUnwindWorksOnFibers) {
 TEST(FiberBackendTest, ProgramExceptionPropagatesFromFiber) {
   auto topo = make_topo(8);
   Kernel kernel(topo);
-  kernel.set_execution_model(ExecutionModel::kFibers);
   EXPECT_THROW(kernel.run([](NodeHandle& h) {
                  h.advance(from_us(static_cast<std::int64_t>(h.id()) + 1));
                  if (h.id() == 5) throw std::runtime_error("boom");
@@ -168,7 +146,6 @@ TEST(FiberBackendTest, ProgramExceptionPropagatesFromFiber) {
 TEST(FiberBackendTest, DeadlockIsReportedOnFibers) {
   auto topo = make_topo(2);
   Kernel kernel(topo);
-  kernel.set_execution_model(ExecutionModel::kFibers);
   EXPECT_THROW(kernel.run([](NodeHandle& h) {
                  // Both nodes receive from each other; nobody sends.
                  (void)h.post_receive(1 - h.id(), 0);
@@ -179,7 +156,6 @@ TEST(FiberBackendTest, DeadlockIsReportedOnFibers) {
 TEST(FiberBackendTest, BackToBackRunsReuseTheKernel) {
   auto topo = make_topo(16);
   Kernel kernel(topo);
-  kernel.set_execution_model(ExecutionModel::kFibers);
   util::SimTime last = 0;
   for (int round = 0; round < 5; ++round) {
     const RunResult r = kernel.run([round](NodeHandle& h) {
