@@ -208,12 +208,6 @@ void MetricsEmitter::record(const std::string& id, const Measured& run,
   written_ = false;
 }
 
-void MetricsEmitter::set_perf_baseline(util::json::Value baseline) {
-  perf_baseline_ = std::move(baseline);
-  has_perf_baseline_ = true;
-  written_ = false;
-}
-
 void MetricsEmitter::record_json(const std::string& id,
                                  util::json::Value row) {
   using util::json::Value;
@@ -246,7 +240,6 @@ void MetricsEmitter::write() {
     if (getrusage(RUSAGE_SELF, &usage) == 0) {
       perf["peak_rss_kb"] = static_cast<std::int64_t>(usage.ru_maxrss);
     }
-    if (has_perf_baseline_) perf["baseline"] = perf_baseline_;
     root["perf"] = std::move(perf);
   }
   root["rows"] = rows_;  // copy: emitter stays usable after write()

@@ -161,12 +161,6 @@ class MetricsEmitter {
   /// Records a free-form JSON row (e.g. a resilient-run report).
   void record_json(const std::string& id, util::json::Value row);
 
-  /// Attaches a reference "before" measurement to the whole-bench perf
-  /// section (written as perf.baseline), so the JSON carries both the
-  /// baseline numbers and this run's live total_wall_ms side by side.
-  /// The value should say what was measured, on what, and when.
-  void set_perf_baseline(util::json::Value baseline);
-
   /// Count of invariant violations across all recorded runs.
   std::int64_t violations_total() const noexcept { return violations_total_; }
 
@@ -178,8 +172,6 @@ class MetricsEmitter {
  private:
   std::string bench_name_;
   util::json::Value rows_;
-  util::json::Value perf_baseline_;
-  bool has_perf_baseline_ = false;
   std::int64_t violations_total_ = 0;
   double start_wall_ms_ = 0.0;  ///< process clock at construction
   bool written_ = false;

@@ -16,29 +16,6 @@ int main() {
                       "complete exchange vs machine size (1920 bytes)");
 
   bench::MetricsEmitter metrics("fig08_exchange_scaling_1920");
-  {
-    // Reference before/after wall-clock for this sweep (full mode, 1-core
-    // container, interleaved A/B medians of 10 runs each; docs/PERF.md
-    // has the methodology). "before" is the thread-per-node kernel that
-    // preceded fibers (since deleted); "after" is the fiber kernel.
-    // Simulated times were byte-identical between the two; only host time
-    // differed. This run's own wall-clock is recorded live as
-    // perf.total_wall_ms.
-    using util::json::Value;
-    Value base = Value::object();
-    base["before_total_wall_ms"] = 8300.0;
-    base["before_user_cpu_ms"] = 4400.0;
-    base["after_total_wall_ms"] = 4100.0;
-    base["after_user_cpu_ms"] = 3200.0;
-    base["note"] =
-        "medians, 2026-08: fibers run this sweep at ~49% of the same-day "
-        "thread-backend wall clock (the ~2.4s futex/condvar handoff floor "
-        "-- the 'sys' column -- vanishes entirely; remaining time is fluid "
-        "solver + trace analysis). The pre-fiber build recorded 5100ms "
-        "here, but this container now times the *unchanged* thread oracle "
-        "at ~8300ms, so compare ratios, not absolute ms, across PRs.";
-    metrics.set_perf_baseline(std::move(base));
-  }
   const std::vector<std::int32_t> procs =
       bench::smoke_select<std::int32_t>({32, 64, 128, 256}, {32, 64});
   const ExchangeAlgorithm algs[] = {ExchangeAlgorithm::Pairwise,

@@ -1,16 +1,13 @@
 /// Microbenchmarks (google-benchmark) of the simulator's own components:
 /// schedule construction cost (the paper amortizes it over iterations,
-/// §4.5 — these numbers justify that), the max-min rate solver, the DES
-/// kernel's message throughput, and the FFT kernel (one transform, and a
-/// plan reused over one node's rows of the data-mode 2-D FFT).
+/// §4.5 — these numbers justify that), the DES kernel's message
+/// throughput, and the FFT kernel (one transform, and a plan reused over
+/// one node's rows of the data-mode 2-D FFT).
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-
 #include "cm5/fft/fft1d.hpp"
 #include "cm5/machine/machine.hpp"
-#include "cm5/net/maxmin.hpp"
 #include "cm5/patterns/synthetic.hpp"
 #include "cm5/sched/builders.hpp"
 #include "cm5/util/rng.hpp"
@@ -37,27 +34,6 @@ void BM_BuildPairwiseSchedule(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BuildPairwiseSchedule)->Arg(32)->Arg(64)->Arg(128);
-
-void BM_MaxMinSolver(benchmark::State& state) {
-  const auto num_flows = static_cast<std::size_t>(state.range(0));
-  const std::size_t num_links = 600;
-  util::Rng rng(5);
-  std::vector<double> caps(num_links);
-  for (auto& c : caps) c = 1e6 * (1.0 + rng.next_double() * 9.0);
-  std::vector<std::vector<net::LinkId>> paths(num_flows);
-  for (auto& p : paths) {
-    for (int k = 0; k < 8; ++k) {
-      p.push_back(static_cast<net::LinkId>(rng.next_below(num_links)));
-    }
-  }
-  std::vector<net::FlowRoute> routes;
-  routes.reserve(num_flows);
-  for (const auto& p : paths) routes.push_back(net::FlowRoute{p});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net::solve_max_min(routes, caps));
-  }
-}
-BENCHMARK(BM_MaxMinSolver)->Arg(32)->Arg(128)->Arg(512);
 
 void BM_KernelMessageThroughput(benchmark::State& state) {
   // Host-time cost of simulating one rendezvous message (ping-pong).

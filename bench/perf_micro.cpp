@@ -1,6 +1,6 @@
 /// Microbenchmarks (google-benchmark) of the fluid network's fast paths:
-/// the on-demand route computation, the incremental vs oracle max-min solver
-/// under single-flow churn, the next_event() scan after a time advance,
+/// the on-demand route computation, the max-min solver under single-flow
+/// churn, the next_event() scan after a time advance,
 /// and a full exchange-step drain. These are the host-time costs docs/PERF.md
 /// documents; run in Release mode.
 
@@ -36,21 +36,18 @@ void BM_RouteLookup(benchmark::State& state) {
 BENCHMARK(BM_RouteLookup)->Arg(32)->Arg(256);
 
 /// One small flow starting and completing against a standing population
-/// of long-lived flows; every change costs one whole-network re-solve on
-/// both solvers. The production solver keeps its flow and link lists
-/// across solves and touches only loaded links; the oracle rebuilds
-/// routes and capacities over every link from scratch (docs/PERF.md §2).
+/// of long-lived flows; every change costs one whole-network re-solve,
+/// which keeps its flow and link lists across solves and touches only
+/// loaded links (docs/PERF.md §2).
 /// Random flows on 256 nodes share links densely. With `rex_partners`,
 /// every flow runs between recursive-exchange partners at a low stage
 /// (src ^ 2^k, k < 6) of a 4096-node machine: background flow f leaves
 /// node 4f at stage f mod 6, the churning flow a random node at a random
 /// stage, so flows load few of the machine's many links.
-void churn(benchmark::State& state, net::FluidNetwork::SolverMode mode,
-           std::int32_t nprocs, bool rex_partners) {
+void churn(benchmark::State& state, std::int32_t nprocs, bool rex_partners) {
   const auto background = static_cast<std::int32_t>(state.range(0));
   const net::FatTreeTopology topo(net::FatTreeConfig::cm5(nprocs));
   net::FluidNetwork nw(topo);
-  nw.set_solver_mode(mode);
   util::Rng rng(23);
   const auto random_node = [&] {
     return static_cast<net::NodeId>(
@@ -88,26 +85,15 @@ void churn(benchmark::State& state, net::FluidNetwork::SolverMode mode,
 }
 
 void BM_SolverChurnIncremental(benchmark::State& state) {
-  churn(state, net::FluidNetwork::SolverMode::kIncremental, 256, false);
+  churn(state, 256, false);
 }
 BENCHMARK(BM_SolverChurnIncremental)->Arg(64)->Arg(256)->Arg(1024);
 
-void BM_SolverChurnOracle(benchmark::State& state) {
-  churn(state, net::FluidNetwork::SolverMode::kOracle, 256, false);
-}
-BENCHMARK(BM_SolverChurnOracle)->Arg(64)->Arg(256)->Arg(1024);
-
 /// The same churn on REX-partner flows of a 4096-node machine.
 void BM_SolverChurnStructured(benchmark::State& state) {
-  churn(state,
-        state.range(1) == 0 ? net::FluidNetwork::SolverMode::kIncremental
-                            : net::FluidNetwork::SolverMode::kOracle,
-        4096, true);
+  churn(state, 4096, true);
 }
-BENCHMARK(BM_SolverChurnStructured)
-    ->ArgNames({"background", "oracle"})
-    ->Args({1024, 0})
-    ->Args({1024, 1});
+BENCHMARK(BM_SolverChurnStructured)->ArgNames({"background"})->Arg(1024);
 
 void BM_NextEventPeek(benchmark::State& state) {
   // next_event() on a cache miss with many active flows. Each iteration

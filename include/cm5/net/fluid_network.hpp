@@ -6,7 +6,6 @@
 #include <span>
 #include <vector>
 
-#include "cm5/net/maxmin.hpp"
 #include "cm5/net/topology.hpp"
 #include "cm5/util/time.hpp"
 
@@ -37,11 +36,11 @@
 /// max-min solve runs over that vector and persistent link state: the
 /// per-link flow counts and a list of the links that carry traffic, so a
 /// solve touches only loaded links and allocates nothing once warm. Flows
-/// are processed in FlowId order so the arithmetic matches the seed
-/// solve_max_min exactly; that solve is retained behind SolverMode::kOracle
-/// as a differential-testing reference. next_event() is a memoized scan
-/// of the flow vector; its answer only goes stale after a re-solve or a
-/// time advance, each of which already costs O(flows) (docs/PERF.md §3).
+/// are processed in FlowId order so the arithmetic matches the reference
+/// progressive-filling solve in tests/support bit for bit, which the
+/// solver differential tests check. next_event() is a memoized scan of
+/// the flow vector; its answer only goes stale after a re-solve or a time
+/// advance, each of which already costs O(flows) (docs/PERF.md §3).
 
 namespace cm5::net {
 
@@ -75,11 +74,6 @@ struct NetworkStats {
 /// Flow-level network simulation over a FatTreeTopology.
 class FluidNetwork {
  public:
-  /// Which rate solver resolve_rates() uses. Simulation results are
-  /// identical; kOracle re-solves the whole network from scratch on every
-  /// rate change and exists as the reference for differential tests.
-  enum class SolverMode { kIncremental, kOracle };
-
   explicit FluidNetwork(const FatTreeTopology& topo);
 
   /// Starts a flow of `wire_bytes` from src to dst at time `now`.
@@ -113,14 +107,14 @@ class FluidNetwork {
   /// Current capacity scale of a link (1.0 unless degraded).
   double link_capacity_scale(LinkId link) const;
 
-  /// Selects the rate solver. Only legal while the network is idle (no
-  /// active flows), i.e. before a run or between runs.
-  void set_solver_mode(SolverMode mode);
-  SolverMode solver_mode() const noexcept { return solver_mode_; }
-
   /// Test hook: the current max-min rate (bytes/s) of an active flow.
   /// Re-solves if rates are stale, so calling it perturbs rate_solves.
   double flow_rate(FlowId id);
+  /// Test hook: a link's load (bytes/s), the sum of its flows' rates in
+  /// FlowId order as of the last solve (a flow_rate call solves first).
+  double link_load(LinkId link) const {
+    return link_load_[static_cast<std::size_t>(link)];
+  }
 
   const NetworkStats& stats() const noexcept { return stats_; }
   const FatTreeTopology& topology() const noexcept { return topo_; }
@@ -141,7 +135,6 @@ class FluidNetwork {
   };
 
   void resolve_rates();
-  void resolve_oracle();
   /// The production solve: every active flow over every live link.
   void solve_all();
   /// Progressive filling of the flows queued in fill_flows_ (indices into
@@ -185,14 +178,8 @@ class FluidNetwork {
   bool next_cache_valid_ = false;
   std::optional<util::SimTime> next_cache_;
 
-  /// Scratch for the oracle solver, reused across calls so repeated
-  /// whole-network solves stop reallocating routes/caps every time.
-  std::vector<FlowRoute> oracle_routes_;
-  std::vector<double> oracle_caps_;
-
   util::SimTime now_ = 0;
   bool rates_dirty_ = false;
-  SolverMode solver_mode_ = SolverMode::kIncremental;
   FlowId next_id_ = 0;
   NetworkStats stats_;
 };

@@ -5,7 +5,6 @@
 #include <limits>
 #include <numeric>
 
-#include "cm5/net/maxmin.hpp"
 #include "cm5/util/check.hpp"
 
 namespace cm5::net {
@@ -14,7 +13,7 @@ namespace {
 /// Residual below which a flow counts as complete; far below one packet.
 constexpr double kDoneEpsilonBytes = 1e-6;
 
-/// solve_max_min's freeze tolerance: a flow freezes at the round share
+/// The reference solve's freeze tolerance: a flow freezes at the round share
 /// `s` if one of its links has a fair share <= s * kFreezeTolerance.
 constexpr double kFreezeTolerance = 1.0 + 1e-12;
 
@@ -33,15 +32,6 @@ FluidNetwork::FluidNetwork(const FatTreeTopology& topo) : topo_(topo) {
   link_share_.assign(num_links, 0.0);
   link_pos_.assign(num_links, 0);
   link_listed_.assign(num_links, 0);
-}
-
-void FluidNetwork::set_solver_mode(SolverMode mode) {
-  // A pending re-solve with no active flows is harmless (both solvers
-  // just zero the loads of links whose flows retired), so idle == no
-  // active flows.
-  CM5_CHECK_MSG(flows_.empty(),
-                "solver mode can only change while the network is idle");
-  solver_mode_ = mode;
 }
 
 void FluidNetwork::set_link_capacity_scale(util::SimTime now, LinkId link,
@@ -120,11 +110,7 @@ FlowId FluidNetwork::start_flow(util::SimTime now, NodeId src, NodeId dst,
 void FluidNetwork::resolve_rates() {
   if (!rates_dirty_) return;
   next_cache_valid_ = false;
-  if (solver_mode_ == SolverMode::kOracle) {
-    resolve_oracle();
-  } else {
-    solve_all();
-  }
+  solve_all();
   rates_dirty_ = false;
   ++stats_.rate_solves;
 }
@@ -242,31 +228,6 @@ void FluidNetwork::fill() {
     }
     unfrozen = wf;
     CM5_CHECK_MSG(froze_any, "progressive filling failed to make progress");
-  }
-}
-
-void FluidNetwork::resolve_oracle() {
-  // The seed whole-network solve: every active flow, every link, from
-  // scratch via solve_max_min. Kept as the reference oracle for
-  // differential testing of the incremental path. Scratch vectors are
-  // members so repeated solves allocate nothing once warm.
-  sweep_live_links();
-  oracle_caps_.resize(static_cast<std::size_t>(topo_.num_links()));
-  for (std::int32_t l = 0; l < topo_.num_links(); ++l) {
-    oracle_caps_[static_cast<std::size_t>(l)] =
-        topo_.link(l).capacity * capacity_scale_[static_cast<std::size_t>(l)];
-  }
-  oracle_routes_.clear();
-  for (const Flow& f : flows_) oracle_routes_.push_back(FlowRoute{f.route()});
-  const std::vector<double> rates = solve_max_min(oracle_routes_, oracle_caps_);
-  stats_.flows_refrozen += static_cast<std::int64_t>(flows_.size());
-  std::fill(link_load_.begin(), link_load_.end(), 0.0);
-  for (std::size_t i = 0; i < flows_.size(); ++i) {
-    Flow& f = flows_[i];
-    f.rate = rates[i];
-    for (LinkId l : f.route()) {
-      link_load_[static_cast<std::size_t>(l)] += f.rate;
-    }
   }
 }
 

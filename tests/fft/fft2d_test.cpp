@@ -139,6 +139,37 @@ TEST(FftTimedTest, LinearExchangeIsSlowerThanPairwise) {
   EXPECT_GT(lex.makespan, pex.makespan);
 }
 
+TEST(FftTimedTest, TimedFormMatchesDataFormTiming) {
+  // The phantom-payload FFT must charge exactly the simulated time of the
+  // data FFT: same compute, same copies, same exchange. The one exception
+  // is REX, whose data form puts an 8-byte (origin, destination) header
+  // on the wire with every combined block, so it runs slightly longer.
+  const std::int32_t nprocs = 16, n = 128;
+  const std::int32_t rows = n / nprocs;
+  const std::vector<Complex> full = random_matrix(n, 31);
+  Cm5Machine machine(MachineParams::cm5_defaults(nprocs));
+  for (const ExchangeAlgorithm alg :
+       {ExchangeAlgorithm::Linear, ExchangeAlgorithm::Pairwise,
+        ExchangeAlgorithm::Recursive, ExchangeAlgorithm::Balanced}) {
+    const auto timed = machine.run(
+        [&](machine::Node& node) { fft2d_timed(node, alg, n); });
+    const auto data = machine.run([&](machine::Node& node) {
+      const auto first = static_cast<std::ptrdiff_t>(
+          static_cast<std::size_t>(node.self()) *
+          static_cast<std::size_t>(rows) * static_cast<std::size_t>(n));
+      std::vector<Complex> slab(full.begin() + first,
+                                full.begin() + first + rows * n);
+      fft2d_distributed(node, alg, n, slab);
+    });
+    if (alg == ExchangeAlgorithm::Recursive) {
+      EXPECT_GT(data.makespan, timed.makespan);
+      EXPECT_LT(data.makespan - timed.makespan, timed.makespan / 100);
+    } else {
+      EXPECT_EQ(timed.makespan, data.makespan) << sched::exchange_name(alg);
+    }
+  }
+}
+
 TEST(FftTimedTest, RejectsBadGeometry) {
   Cm5Machine machine(MachineParams::cm5_defaults(8));
   EXPECT_THROW(machine.run([](machine::Node& node) {

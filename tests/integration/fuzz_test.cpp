@@ -16,6 +16,7 @@
 #include "cm5/sim/fault.hpp"
 #include "cm5/sim/metrics.hpp"
 #include "cm5/util/rng.hpp"
+#include "reference_network.hpp"
 
 /// Randomized stress tests: generate random-but-valid communication
 /// programs and verify the kernel's global invariants — no deadlock, all
@@ -245,31 +246,28 @@ TEST_P(FuzzTest, FaultyResilientRunsSatisfyRelaxedInvariants) {
 }
 
 TEST_P(FuzzTest, IncrementalSolverMatchesOracle) {
-  // Differential test for the fluid network's incremental max-min solver:
-  // drive two networks — one incremental (the production path), one using
-  // the from-scratch oracle solve — through an identical randomized
-  // sequence of flow starts, partial/full advances and link faults
-  // (degraded, dead and restored links), and require bit-identical events
-  // and rates after every operation. Each operation is
-  // one "case": 12 seeds x 90 ops >= 1000 cases across the suite.
+  // Differential test for the fluid network's production max-min solver:
+  // drive it through a randomized sequence of flow starts, partial/full
+  // advances and link faults (degraded, dead and restored links), and
+  // require every live flow's rate and every link's load to equal the
+  // reference solve_max_min's bit for bit after every operation. Each
+  // operation is one "case": 12 seeds x 90 ops >= 1000 cases across the
+  // suite.
   const std::uint64_t seed = GetParam();
   util::Rng rng(seed * 7919 + 3);
   const auto nprocs = static_cast<std::int32_t>(1 << rng.next_in(2, 6));
   const net::FatTreeTopology topo(net::FatTreeConfig::cm5(nprocs));
-  net::FluidNetwork inc(topo);
-  net::FluidNetwork ora(topo);
-  ASSERT_EQ(inc.solver_mode(), net::FluidNetwork::SolverMode::kIncremental);
-  ora.set_solver_mode(net::FluidNetwork::SolverMode::kOracle);
+  test::ReferencedNetwork ref(topo);
 
   // Flow density varies per seed: bursts are larger for high-density seeds.
   const auto max_burst = 1 + static_cast<std::int32_t>(seed % 5);
   util::SimTime t = 0;
-  std::vector<net::FlowId> live;  // ids are identical in both networks
+  std::int64_t started = 0;
   int cases = 0;
   for (int op = 0; op < 90; ++op) {
     const std::uint64_t pick = rng.next_below(10);
-    if (pick < 5 || live.empty()) {
-      // Start a burst of flows (same arguments, hence same ids, in both).
+    if (pick < 5 || ref.live_flows() == 0) {
+      // Start a burst of flows.
       const std::int64_t burst = rng.next_in(1, max_burst);
       for (std::int64_t k = 0; k < burst; ++k) {
         const auto src = static_cast<net::NodeId>(
@@ -278,50 +276,34 @@ TEST_P(FuzzTest, IncrementalSolverMatchesOracle) {
             rng.next_below(static_cast<std::uint64_t>(nprocs)));
         if (dst == src) dst = (dst + 1) % nprocs;
         const auto bytes = static_cast<double>(rng.next_in(1, 4096));
-        const net::FlowId a = inc.start_flow(t, src, dst, bytes);
-        const net::FlowId b = ora.start_flow(t, src, dst, bytes);
-        ASSERT_EQ(a, b);
-        live.push_back(a);
+        ref.start_flow(t, src, dst, bytes);
+        ++started;
       }
     } else if (pick < 8) {
-      // Advance: both networks must agree on the next completion time;
-      // half the time stop short of it (partial progress).
-      const auto ev_inc = inc.next_event();
-      const auto ev_ora = ora.next_event();
-      ASSERT_EQ(ev_inc.has_value(), ev_ora.has_value());
-      if (ev_inc.has_value()) {
-        ASSERT_EQ(*ev_inc, *ev_ora) << "seed " << seed << " op " << op;
-        util::SimTime target = *ev_inc;
+      // Advance to the next completion; half the time stop short of it
+      // (partial progress).
+      if (const auto ev = ref.network().next_event()) {
+        util::SimTime target = *ev;
         if (rng.next_below(2) == 0 && target > t) {
           target = t + (target - t) / 2;  // partial advance, no completion
         }
         t = target;
-        const auto done_inc = inc.advance_to(t);
-        const auto done_ora = ora.advance_to(t);
-        ASSERT_EQ(done_inc, done_ora) << "seed " << seed << " op " << op;
-        for (const net::FlowId id : done_inc) {
-          live.erase(std::find(live.begin(), live.end(), id));
-        }
+        ref.advance_to(t);
       }
     } else {
       // Fault injection: degrade, kill or restore a random link.
       const auto link = static_cast<net::LinkId>(
           rng.next_below(static_cast<std::uint64_t>(topo.num_links())));
       const double scales[] = {0.0, 0.25, 1.0};
-      const double scale = scales[rng.next_below(3)];
-      inc.set_link_capacity_scale(t, link, scale);
-      ora.set_link_capacity_scale(t, link, scale);
+      ref.set_link_capacity_scale(t, link, scales[rng.next_below(3)]);
     }
-    for (const net::FlowId id : live) {
-      const double ra = inc.flow_rate(id);
-      const double rb = ora.flow_rate(id);
-      ASSERT_EQ(ra, rb) << "seed " << seed << " op " << op << " flow " << id;
-    }
+    ASSERT_EQ(ref.mismatch(), "") << "seed " << seed << " op " << op;
     ++cases;
   }
   EXPECT_GE(cases, 90);
-  EXPECT_EQ(inc.stats().flows_started, ora.stats().flows_started);
-  EXPECT_EQ(inc.stats().flows_completed, ora.stats().flows_completed);
+  EXPECT_EQ(ref.network().stats().flows_started, started);
+  EXPECT_EQ(ref.network().stats().flows_completed,
+            started - static_cast<std::int64_t>(ref.live_flows()));
 }
 
 TEST_P(FuzzTest, CheckpointKillResumeIsBitIdentical) {

@@ -4,8 +4,8 @@
 
 #include "cm5/mesh/halo.hpp"
 #include "cm5/mesh/partition.hpp"
-#include "cm5/mesh/quality.hpp"
 #include "cm5/util/check.hpp"
+#include "mesh_quality.hpp"
 
 namespace cm5::mesh {
 namespace {

@@ -3,9 +3,9 @@
 #include <cmath>
 
 #include "cm5/mesh/generate.hpp"
-#include "cm5/mesh/quality.hpp"
-#include "cm5/mesh/refine.hpp"
 #include "cm5/util/check.hpp"
+#include "mesh_quality.hpp"
+#include "mesh_refine.hpp"
 
 namespace cm5::mesh {
 namespace {

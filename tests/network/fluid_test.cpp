@@ -6,6 +6,7 @@
 
 #include "cm5/util/check.hpp"
 #include "cm5/util/time.hpp"
+#include "reference_network.hpp"
 
 namespace cm5::net {
 namespace {
@@ -222,40 +223,22 @@ TEST(FluidTest, DegradedLinkSlowsAndRestores) {
 }
 
 TEST(FluidTest, OracleModeMatchesIncrementalExactly) {
-  // The kOracle whole-network solver and the default incremental solver
-  // must agree bit-for-bit on a contended scenario with a mid-run fault.
-  auto drive = [](FluidNetwork::SolverMode mode) {
-    FatTreeTopology topo(FatTreeConfig::cm5(32));
-    FluidNetwork net(topo);
-    net.set_solver_mode(mode);
-    for (NodeId n = 0; n < 16; ++n) {
-      net.start_flow(0, n, static_cast<NodeId>(n + 16), 5000.0);
-    }
-    net.set_link_capacity_scale(from_us(100), net.topology().up_link(1, 0),
-                                0.25);
-    std::vector<SimTime> completions;
-    while (const auto t = net.next_event()) {
-      for (const FlowId id : net.advance_to(*t)) {
-        (void)id;
-        completions.push_back(*t);
-      }
-    }
-    return completions;
-  };
-  const auto inc = drive(FluidNetwork::SolverMode::kIncremental);
-  const auto ora = drive(FluidNetwork::SolverMode::kOracle);
-  EXPECT_EQ(inc, ora);
-}
-
-TEST(FluidTest, SolverModeSwitchRequiresIdleNetwork) {
+  // The production solver must agree bit-for-bit with the reference
+  // solve_max_min on a contended scenario with a mid-run fault.
   FatTreeTopology topo(FatTreeConfig::cm5(32));
-  FluidNetwork net(topo);
-  net.start_flow(0, 0, 1, 100.0);
-  EXPECT_THROW(net.set_solver_mode(FluidNetwork::SolverMode::kOracle),
-               util::CheckError);
-  while (const auto t = net.next_event()) net.advance_to(*t);
-  net.set_solver_mode(FluidNetwork::SolverMode::kOracle);
-  EXPECT_EQ(net.solver_mode(), FluidNetwork::SolverMode::kOracle);
+  test::ReferencedNetwork ref(topo);
+  for (NodeId n = 0; n < 16; ++n) {
+    ref.start_flow(0, n, static_cast<NodeId>(n + 16), 5000.0);
+    ASSERT_EQ(ref.mismatch(), "") << "start " << n;
+  }
+  ref.set_link_capacity_scale(from_us(100), topo.up_link(1, 0), 0.25);
+  ASSERT_EQ(ref.mismatch(), "") << "fault";
+  std::size_t completed = 0;
+  while (const auto t = ref.network().next_event()) {
+    completed += ref.advance_to(*t).size();
+    ASSERT_EQ(ref.mismatch(), "") << "at " << *t;
+  }
+  EXPECT_EQ(completed, 16u);
 }
 
 TEST(FluidTest, FlowRateReflectsSharing) {

@@ -1,4 +1,4 @@
-#include "cm5/net/maxmin.hpp"
+#include "maxmin.hpp"
 
 #include <gtest/gtest.h>
 

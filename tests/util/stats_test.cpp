@@ -1,4 +1,4 @@
-#include "cm5/util/stats.hpp"
+#include "running_stats.hpp"
 
 #include <gtest/gtest.h>
 

@@ -94,8 +94,9 @@ std::string refrozen_of(const RowView& row) {
   return std::to_string(row.perf->at("flows_refrozen").as_int());
 }
 
-/// The execution backend recorded in the metrics-file root ("fibers" or
-/// "threads"); "?" for files predating the exec_backend field.
+/// The execution backend recorded in the metrics-file root: "fibers" for
+/// every file written now, "threads" in files from before the thread
+/// backend was deleted, "?" in files predating the exec_backend field.
 std::string backend_of(const Value& file) {
   return file.get("exec_backend", Value("?")).as_string();
 }
@@ -207,15 +208,9 @@ int cmd_show(const std::vector<std::string>& files) {
 int cmd_diff(const std::string& old_path, const std::string& new_path) {
   const Value old_file = load_metrics_file(old_path);
   const Value new_file = load_metrics_file(new_path);
-  // Cross-backend diffs are legitimate (simulated times are backend-
-  // invariant; host-side perf fields are not) — name both sides so the
-  // reader knows which comparison they are looking at.
-  std::printf("old: %s [%s backend]\nnew: %s [%s backend]%s\n",
+  std::printf("old: %s [%s backend]\nnew: %s [%s backend]\n",
               old_path.c_str(), backend_of(old_file).c_str(),
-              new_path.c_str(), backend_of(new_file).c_str(),
-              backend_of(old_file) == backend_of(new_file)
-                  ? ""
-                  : "  (backends differ: wall/switch fields not comparable)");
+              new_path.c_str(), backend_of(new_file).c_str());
   std::map<std::string, RowView> old_rows;
   for (const RowView& row : rows_of(old_file)) old_rows[row.id] = row;
 
