@@ -1,15 +1,23 @@
 /// Microbenchmarks (google-benchmark) of the fluid network's fast paths:
 /// the on-demand route computation, the max-min solver under single-flow
 /// churn, the next_event() scan after a time advance,
-/// and a full exchange-step drain. These are the host-time costs docs/PERF.md
-/// documents; run in Release mode.
+/// and a full exchange-step drain; and of the two trace-analysis
+/// consumers replaying a recorded irregular run. These are the host-time
+/// costs docs/PERF.md documents; run in Release mode.
 
 #include <benchmark/benchmark.h>
 
 #include <utility>
+#include <vector>
 
+#include "cm5/machine/machine.hpp"
 #include "cm5/net/fluid_network.hpp"
 #include "cm5/net/topology.hpp"
+#include "cm5/patterns/synthetic.hpp"
+#include "cm5/sched/builders.hpp"
+#include "cm5/sched/executor.hpp"
+#include "cm5/sim/metrics.hpp"
+#include "cm5/sim/trace.hpp"
 #include "cm5/util/rng.hpp"
 
 namespace {
@@ -144,5 +152,57 @@ void BM_ExchangeStepDrain(benchmark::State& state) {
 BENCHMARK(BM_ExchangeStepDrain)->Arg(32)->Arg(256);
 
 }  // namespace
+
+/// One 32-node Greedy run of a Table 11 pattern (50 % density, 512 B,
+/// barrier per step), recorded once and shared by every replay.
+struct RecordedRun {
+  std::vector<sim::TraceEvent> events;
+  sim::RunResult result;
+};
+
+const RecordedRun& greedy_run() {
+  static const RecordedRun run = [] {
+    constexpr std::int32_t kNodes = 32;
+    const sched::CommSchedule schedule = sched::build_schedule(
+        sched::Scheduler::Greedy,
+        patterns::exact_density(kNodes, 0.5, 512, 11));
+    sched::ExecutorOptions options;
+    options.barrier_per_step = true;
+    machine::Cm5Machine machine(machine::MachineParams::cm5_defaults(kNodes));
+    sim::TraceRecorder recorder;
+    RecordedRun out;
+    out.result = machine.run_traced(
+        [&](machine::Node& node) {
+          sched::execute_schedule(node, schedule, options);
+        },
+        recorder.sink());
+    out.events = recorder.events();
+    return out;
+  }();
+  return run;
+}
+
+/// One MetricsBuilder (validator:0) or TraceValidator (validator:1)
+/// replay of the recorded run, from construction through finalize: the
+/// per-run analysis cost of an irregular-sweep cell.
+void BM_AnalyzeTrace(benchmark::State& state) {
+  const RecordedRun& run = greedy_run();
+  const std::int32_t nprocs = 32;
+  const bool validator = state.range(0) != 0;
+  for (auto _ : state) {
+    if (validator) {
+      sim::TraceValidator consumer(nprocs);
+      for (const sim::TraceEvent& e : run.events) consumer.on_event(e);
+      benchmark::DoNotOptimize(consumer.finalize(&run.result));
+    } else {
+      sim::MetricsBuilder consumer(nprocs);
+      for (const sim::TraceEvent& e : run.events) consumer.on_event(e);
+      benchmark::DoNotOptimize(consumer.finalize(&run.result));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(run.events.size()));
+}
+BENCHMARK(BM_AnalyzeTrace)->ArgNames({"validator"})->Arg(0)->Arg(1);
 
 BENCHMARK_MAIN();

@@ -5,6 +5,7 @@
 #include <tuple>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "cm5/net/topology.hpp"
 #include "cm5/sim/trace.hpp"
@@ -93,6 +94,12 @@ struct MsgKeyHash {
   }
 };
 
+struct Int32Hash {
+  std::size_t operator()(std::int32_t v) const noexcept {
+    return hash_mix(static_cast<std::uint32_t>(v));
+  }
+};
+
 struct Int32PairHash {
   std::size_t operator()(
       const std::pair<std::int32_t, std::int32_t>& p) const noexcept {
@@ -101,6 +108,82 @@ struct Int32PairHash {
          << 32) |
         static_cast<std::uint32_t>(p.second));
   }
+};
+
+/// Open-addressing hash map (linear probing, power-of-two capacity) for
+/// the streaming consumers' per-key tables. The slots are one vector, so
+/// only a doubling allocates and a warm table allocates nothing. erase()
+/// shifts later probes back instead of leaving tombstones.
+template <class K, class V, class Hash>
+class FlatMap {
+ public:
+  using Slot = std::pair<K, V>;
+
+  std::size_t size() const noexcept { return size_; }
+
+  Slot* find(const K& key) noexcept {
+    if (size_ == 0) return nullptr;
+    const std::size_t i = probe(key);
+    return used_[i] ? &slots_[i] : nullptr;
+  }
+
+  /// The value for `key`, value-initialized on first use.
+  V& operator[](const K& key) {
+    if (4 * (size_ + 1) > 3 * slots_.size()) grow();
+    const std::size_t i = probe(key);
+    if (!used_[i]) {
+      used_[i] = 1;
+      slots_[i].first = key;
+      ++size_;
+    }
+    return slots_[i].second;
+  }
+
+  /// Removes a slot returned by find().
+  void erase(Slot* slot) {
+    auto hole = static_cast<std::size_t>(slot - slots_.data());
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t j = (hole + 1) & mask; used_[j]; j = (j + 1) & mask) {
+      // Slot j moves back into the hole unless its home is in (hole, j].
+      if (((j - Hash{}(slots_[j].first)) & mask) >= ((j - hole) & mask)) {
+        slots_[hole] = std::move(slots_[j]);
+        hole = j;
+      }
+    }
+    used_[hole] = 0;
+    slots_[hole] = Slot{};  // a free slot holds a value-initialized entry
+    --size_;
+  }
+
+  template <class F>
+  void for_each(F&& f) const {
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (used_[i]) f(slots_[i]);
+    }
+  }
+
+ private:
+  /// The slot holding `key`, or the free slot that ends its probe run.
+  std::size_t probe(const K& key) const noexcept {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = Hash{}(key) & mask;
+    while (used_[i] && !(slots_[i].first == key)) i = (i + 1) & mask;
+    return i;
+  }
+
+  void grow() {
+    const std::size_t capacity = slots_.empty() ? 16 : 2 * slots_.size();
+    FlatMap old = std::move(*this);
+    slots_ = std::vector<Slot>(capacity);
+    used_.assign(capacity, 0);
+    size_ = 0;
+    old.for_each(
+        [this](const Slot& slot) { (*this)[slot.first] = slot.second; });
+  }
+
+  std::vector<Slot> slots_;
+  std::vector<std::uint8_t> used_;
+  std::size_t size_ = 0;
 };
 
 }  // namespace cm5::sim::metrics_internal

@@ -1,10 +1,7 @@
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <limits>
-#include <map>
 #include <queue>
-#include <set>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -20,7 +17,9 @@
 /// oracles in metrics.cpp (differential fuzz enforces it); the point is
 /// the memory model: working state is O(nprocs + in-flight transfers +
 /// distinct tags/keys), never O(events), so a giant-N run can analyze
-/// its trace without ever materializing the event vector.
+/// its trace without ever materializing the event vector. MetricsBuilder
+/// keeps it in flat tables (FlatMap, sorted vectors) that stop allocating
+/// once warm; TraceValidator builds text only for what it reports.
 ///
 /// Two batch behaviors need care to reproduce exactly:
 ///
@@ -44,9 +43,11 @@ namespace cm5::sim {
 
 namespace {
 
+using metrics_internal::FlatMap;
 using metrics_internal::in_range;
 using metrics_internal::is_fault;
 using metrics_internal::is_node_action;
+using metrics_internal::Int32Hash;
 using metrics_internal::Int32PairHash;
 using metrics_internal::Kind;
 using metrics_internal::MsgCounts;
@@ -59,27 +60,24 @@ using metrics_internal::MsgKeyHash;
 /// path's merged_interval_length which extends whenever the next sorted
 /// start is <= the running end.
 struct IntervalUnion {
-  std::map<util::SimTime, util::SimTime> spans;  // start -> end
+  using Span = std::pair<util::SimTime, util::SimTime>;
+  std::vector<Span> spans;  // (start, end), sorted by start
   util::SimDuration total = 0;
 
   void add(util::SimTime lo, util::SimTime hi) {
     if (lo >= hi) return;  // zero-length: contributes nothing to a union
-    auto it = spans.upper_bound(lo);
-    if (it != spans.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second >= lo) {
-        lo = prev->first;
-        hi = std::max(hi, prev->second);
-        total -= prev->second - prev->first;
-        it = spans.erase(prev);
-      }
+    // [first, last) are the spans [lo, hi] touches.
+    auto first = std::partition_point(
+        spans.begin(), spans.end(),
+        [lo](const Span& span) { return span.first <= lo; });
+    if (first != spans.begin() && std::prev(first)->second >= lo) --first;
+    auto last = first;
+    for (; last != spans.end() && last->first <= hi; ++last) {
+      lo = std::min(lo, last->first);
+      hi = std::max(hi, last->second);
+      total -= last->second - last->first;
     }
-    while (it != spans.end() && it->first <= hi) {
-      hi = std::max(hi, it->second);
-      total -= it->second - it->first;
-      it = spans.erase(it);
-    }
-    spans.emplace(lo, hi);
+    spans.insert(spans.erase(first, last), Span{lo, hi});
     total += hi - lo;
   }
 
@@ -93,7 +91,8 @@ struct IntervalUnion {
   /// step per port, which is O(events) again.
   void seal(util::SimTime bound) {
     auto it = spans.begin();
-    while (it != spans.end() && it->second <= bound) it = spans.erase(it);
+    while (it != spans.end() && it->second <= bound) ++it;
+    spans.erase(spans.begin(), it);
   }
 };
 
@@ -149,26 +148,30 @@ struct MetricsBuilder::Impl {
   std::vector<util::SimTime> done_finish;
   util::SimTime done_makespan = 0;
 
+  /// Start times of one key's in-flight transfers, oldest first. The
+  /// oldest is inline; only a second concurrent start on the key spills.
+  struct OpenStarts {
+    util::SimTime first = 0;
+    std::vector<util::SimTime> later;
+  };
+
   // Rendezvous matching: open transfer start times per (src, dst, tag).
-  // Entries are erased as soon as they drain, keeping the map at
+  // Entries are erased as soon as they drain, keeping the table at
   // O(in-flight) rather than O(distinct keys ever seen).
-  std::unordered_map<MsgKey, std::deque<util::SimTime>, MsgKeyHash>
-      open_starts;
+  FlatMap<MsgKey, OpenStarts, MsgKeyHash> open_starts;
 
   std::vector<IntervalUnion> port_busy;
-  /// Start times of each node's in-flight transfers (as either
-  /// endpoint). On a monotone stream min() bounds the lo of every
+  /// Sorted start times of each node's in-flight transfers (as either
+  /// endpoint). On a monotone stream the front bounds the lo of every
   /// future interval added to that node's port_busy — the sealing
   /// bound. Unmatched starts pin the bound low, which only costs
   /// memory, never correctness.
-  std::vector<std::multiset<util::SimTime>> port_open;
+  std::vector<std::vector<util::SimTime>> port_open;
 
-  std::unordered_map<std::int32_t, StepMetrics> steps;
-  std::unordered_map<std::pair<std::int32_t, net::NodeId>, std::int32_t,
-                     Int32PairHash>
+  FlatMap<std::int32_t, StepMetrics, Int32Hash> steps;
+  FlatMap<std::pair<std::int32_t, net::NodeId>, std::int32_t, Int32PairHash>
       step_receiver;
-  std::unordered_map<std::pair<net::NodeId, net::NodeId>, LinkTraffic,
-                     Int32PairHash>
+  FlatMap<std::pair<net::NodeId, net::NodeId>, LinkTraffic, Int32PairHash>
       links;
 
   std::vector<Receiver> receivers;
@@ -271,36 +274,50 @@ struct MetricsBuilder::Impl {
       }
       case Kind::TransferStart: {
         ++metrics.transfers_started;
-        open_starts[{e.node, e.peer, e.tag}].push_back(e.time);
+        const MsgKey key{e.node, e.peer, e.tag};
+        if (const auto open = open_starts.find(key)) {
+          open->second.later.push_back(e.time);
+        } else {
+          open_starts[key].first = e.time;
+        }
         for (const net::NodeId endpoint : {e.node, e.peer}) {
           if (in_range(endpoint, nprocs)) {
-            port_open[static_cast<std::size_t>(endpoint)].insert(e.time);
+            auto& starts = port_open[static_cast<std::size_t>(endpoint)];
+            starts.insert(
+                std::upper_bound(starts.begin(), starts.end(), e.time),
+                e.time);
           }
         }
         break;
       }
       case Kind::TransferComplete: {
         ++metrics.transfers_completed;
-        const auto open = open_starts.find({e.node, e.peer, e.tag});
-        if (open != open_starts.end() && !open->second.empty()) {
-          const util::SimTime start = open->second.front();
-          open->second.pop_front();
-          if (open->second.empty()) open_starts.erase(open);
+        if (const auto open = open_starts.find({e.node, e.peer, e.tag})) {
+          OpenStarts& starts = open->second;
+          const util::SimTime start = starts.first;
+          if (starts.later.empty()) {
+            open_starts.erase(open);
+          } else {
+            starts.first = starts.later.front();
+            starts.later.erase(starts.later.begin());
+          }
           for (const net::NodeId endpoint : {e.node, e.peer}) {
             if (in_range(endpoint, nprocs)) {
               const auto p = static_cast<std::size_t>(endpoint);
               port_busy[p].add(start, e.time);
               auto& open_here = port_open[p];
-              const auto hit = open_here.find(start);
-              if (hit != open_here.end()) open_here.erase(hit);
+              const auto hit = std::lower_bound(open_here.begin(),
+                                                open_here.end(), start);
+              if (hit != open_here.end() && *hit == start) {
+                open_here.erase(hit);
+              }
               port_busy[p].seal(open_here.empty()
                                     ? e.time
-                                    : std::min(*open_here.begin(), e.time));
+                                    : std::min(open_here.front(), e.time));
             }
           }
         }
-        const auto step = steps.find(e.tag);
-        if (step != steps.end()) {
+        if (const auto step = steps.find(e.tag)) {
           step->second.last_complete =
               std::max(step->second.last_complete, e.time);
         }
@@ -388,34 +405,35 @@ RunMetrics MetricsBuilder::finalize(const RunResult* result) {
         s.port_busy[static_cast<std::size_t>(b.node >= 0 ? b.node : 0)].total;
   }
 
-  // Step table with hot receivers: merge (tag, peer) counts in ascending
-  // key order so ties resolve to the lowest peer (matches the batch
-  // path's ordered walk), then sort steps by tag and links by key.
-  {
-    std::vector<std::pair<std::int32_t, net::NodeId>> receiver_keys;
-    receiver_keys.reserve(s.step_receiver.size());
-    for (const auto& [key, count] : s.step_receiver) {
-      receiver_keys.push_back(key);
-    }
-    std::sort(receiver_keys.begin(), receiver_keys.end());
-    for (const auto& key : receiver_keys) {
-      const std::int32_t count = s.step_receiver[key];
-      StepMetrics& step = s.steps[key.first];
-      if (count > step.max_receiver_messages ||
-          (count == step.max_receiver_messages && step.hot_receiver < 0)) {
-        step.max_receiver_messages = count;
-        step.hot_receiver = key.second;
-      }
-    }
-  }
+  // Step table with hot receivers: sort steps by tag, then merge the
+  // (tag, peer) counts into it in ascending key order so ties resolve to
+  // the lowest peer (matches the batch path's ordered walk). Every
+  // (tag, peer) key was counted at a post that also opened its step.
   m.steps.reserve(s.steps.size());
-  for (const auto& [tag, step] : s.steps) m.steps.push_back(step);
+  s.steps.for_each([&](const auto& slot) { m.steps.push_back(slot.second); });
   std::sort(m.steps.begin(), m.steps.end(),
             [](const StepMetrics& a, const StepMetrics& b) {
               return a.tag < b.tag;
             });
+  {
+    std::vector<std::pair<std::pair<std::int32_t, net::NodeId>, std::int32_t>>
+        receiver_counts;
+    receiver_counts.reserve(s.step_receiver.size());
+    s.step_receiver.for_each(
+        [&](const auto& slot) { receiver_counts.push_back(slot); });
+    std::sort(receiver_counts.begin(), receiver_counts.end());
+    auto step = m.steps.begin();
+    for (const auto& [key, count] : receiver_counts) {
+      while (step->tag < key.first) ++step;
+      if (count > step->max_receiver_messages ||
+          (count == step->max_receiver_messages && step->hot_receiver < 0)) {
+        step->max_receiver_messages = count;
+        step->hot_receiver = key.second;
+      }
+    }
+  }
   m.links.reserve(s.links.size());
-  for (const auto& [key, link] : s.links) m.links.push_back(link);
+  s.links.for_each([&](const auto& slot) { m.links.push_back(slot.second); });
   std::sort(m.links.begin(), m.links.end(),
             [](const LinkTraffic& a, const LinkTraffic& b) {
               return std::make_pair(a.src, a.dst) < std::make_pair(b.src, b.dst);
@@ -598,47 +616,51 @@ std::vector<std::string> TraceValidator::finalize(const RunResult* result) {
     }
   }
 
-  // Matching and conservation per message key, in ascending key order.
-  std::vector<MsgKey> message_keys;
-  message_keys.reserve(s.messages.size());
-  for (const auto& [key, c] : s.messages) message_keys.push_back(key);
-  std::sort(message_keys.begin(), message_keys.end());
-  for (const MsgKey& key : message_keys) {
-    const MsgCounts& c = s.messages[key];
-    const auto& [src, dst, tag] = key;
-    const std::string who = std::to_string(src) + "->" + std::to_string(dst) +
-                            " tag " + std::to_string(tag);
+  // Matching and conservation per message key. Text is built only for a
+  // key that fails; failures are reported in ascending key order.
+  std::vector<std::pair<MsgKey, std::string>> failed;
+  for (const auto& entry : s.messages) {
+    const MsgCounts& c = entry.second;
+    const auto fail = [&](const std::string& what) {
+      const auto& [src, dst, tag] = entry.first;
+      failed.emplace_back(entry.first, "message " + std::to_string(src) +
+                                           "->" + std::to_string(dst) +
+                                           " tag " + std::to_string(tag) +
+                                           what);
+    };
     if (c.completed > c.started || c.started > c.posted) {
-      s.report("message " + who + ": counts out of order (posted " +
-               std::to_string(c.posted) + ", started " +
-               std::to_string(c.started) + ", completed " +
-               std::to_string(c.completed) + ")");
+      fail(": counts out of order (posted " + std::to_string(c.posted) +
+           ", started " + std::to_string(c.started) + ", completed " +
+           std::to_string(c.completed) + ")");
       continue;
     }
     if (c.bytes_completed > c.bytes_started ||
         c.bytes_started > c.bytes_posted) {
-      s.report("message " + who + ": byte counts not conserved (posted " +
-               std::to_string(c.bytes_posted) + " B, started " +
-               std::to_string(c.bytes_started) + " B, completed " +
-               std::to_string(c.bytes_completed) + " B)");
+      fail(": byte counts not conserved (posted " +
+           std::to_string(c.bytes_posted) + " B, started " +
+           std::to_string(c.bytes_started) + " B, completed " +
+           std::to_string(c.bytes_completed) + " B)");
     }
     if (!s.any_fault && !s.any_timeout) {
       // Fault-free, timeout-free runs must fully drain the rendezvous:
       // every post starts, every start completes, byte-for-byte.
       if (c.completed != c.posted) {
-        s.report("message " + who + ": " + std::to_string(c.posted) +
-                 " posted but " + std::to_string(c.completed) +
-                 " completed in a fault-free run");
+        fail(": " + std::to_string(c.posted) + " posted but " +
+             std::to_string(c.completed) + " completed in a fault-free run");
       }
       if (c.bytes_completed != c.bytes_posted) {
-        s.report("message " + who + ": bytes sent (" +
-                 std::to_string(c.bytes_posted) + ") != bytes received (" +
-                 std::to_string(c.bytes_completed) + ") in a fault-free run");
+        fail(": bytes sent (" + std::to_string(c.bytes_posted) +
+             ") != bytes received (" + std::to_string(c.bytes_completed) +
+             ") in a fault-free run");
       }
     } else if (c.completed < c.started && !s.any_fault) {
-      s.report("message " + who + ": transfer started but never completed");
+      fail(": transfer started but never completed");
     }
   }
+  std::stable_sort(
+      failed.begin(), failed.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (auto& [key, what] : failed) s.report(std::move(what));
 
   // Cross-check against the kernel's own accounting.
   if (result != nullptr) {

@@ -169,6 +169,114 @@ TEST(StreamingAnalysis, MatchesBatchOnEmptyTrace) {
   expect_stream_matches_batch({}, 4);
 }
 
+// Several transfers in flight on one (src, dst, tag) key complete in
+// FIFO order: each completion pairs with the oldest open start, a key
+// that drained opens again, and a start queued behind a partly drained
+// key is not lost. Forty other keys sit open meanwhile and close in a
+// scrambled order.
+TEST(StreamingAnalysis, MatchesBatchWithSeveralTransfersInFlightOnOneKey) {
+  std::vector<TraceEvent> events;
+  for (int k = 0; k < 6; ++k) {
+    events.push_back(ev(Kind::SendPosted, 0, 0, 1, 8, 7));
+  }
+  for (std::int32_t k = 0; k < 40; ++k) {
+    events.push_back(ev(Kind::SendPosted, 0, 2, 3, 4, 100 + k));
+    events.push_back(ev(Kind::TransferStart, 1, 2, 3, 4, 100 + k));
+  }
+  for (const util::SimTime t : {10, 20, 30}) {
+    events.push_back(ev(Kind::TransferStart, t, 0, 1, 8, 7));
+  }
+  for (const util::SimTime t : {40, 50, 60}) {
+    events.push_back(ev(Kind::TransferComplete, t, 0, 1, 8, 7));
+  }
+  // Reopened after draining; then a start queued behind a partly drained
+  // key.
+  events.push_back(ev(Kind::TransferStart, 70, 0, 1, 8, 7));
+  events.push_back(ev(Kind::TransferStart, 75, 0, 1, 8, 7));
+  events.push_back(ev(Kind::TransferComplete, 80, 0, 1, 8, 7));
+  events.push_back(ev(Kind::TransferStart, 85, 0, 1, 8, 7));
+  events.push_back(ev(Kind::TransferComplete, 90, 0, 1, 8, 7));
+  events.push_back(ev(Kind::TransferComplete, 95, 0, 1, 8, 7));
+  for (std::int32_t k = 0; k < 40; ++k) {
+    events.push_back(
+        ev(Kind::TransferComplete, 100 + k, 2, 3, 4, 100 + (k * 17) % 40));
+  }
+  for (net::NodeId n = 0; n < 4; ++n) {
+    events.push_back(ev(Kind::NodeDone, 140, n));
+  }
+  expect_stream_matches_batch(events, 4);
+  const RunMetrics m = analyze(events, 4);
+  EXPECT_EQ(m.nodes[0].port_busy, 50 + 25);  // [10, 60] and [70, 95]
+  EXPECT_EQ(m.nodes[2].port_busy, 139 - 1);
+  EXPECT_TRUE(validate_trace(events, 4).empty());
+}
+
+// Port-busy intervals on node 0 that touch, overlap, nest and leave a
+// gap, plus a zero-length transfer: the union is closed (touching spans
+// coalesce) and the zero-length one adds nothing.
+TEST(StreamingAnalysis, MatchesBatchOnTouchingOverlappingNestedPortIntervals) {
+  std::vector<TraceEvent> events;
+  const auto transfer_start = [&](util::SimTime t, net::NodeId src,
+                                  net::NodeId dst, std::int32_t tag) {
+    events.push_back(ev(Kind::SendPosted, t, src, dst, 16, tag));
+    events.push_back(ev(Kind::TransferStart, t, src, dst, 16, tag));
+  };
+  const auto transfer_complete = [&](util::SimTime t, net::NodeId src,
+                                     net::NodeId dst, std::int32_t tag) {
+    events.push_back(ev(Kind::TransferComplete, t, src, dst, 16, tag));
+  };
+  transfer_start(10, 0, 1, 1);     // [10, 20]
+  transfer_complete(20, 0, 1, 1);
+  transfer_start(20, 0, 2, 1);     // [20, 30] touches it
+  transfer_start(25, 0, 3, 1);     // [25, 40] overlaps that
+  transfer_complete(30, 0, 2, 1);
+  transfer_complete(40, 0, 3, 1);
+  transfer_start(60, 0, 1, 2);     // [60, 100]
+  transfer_start(70, 2, 0, 2);     // [70, 80] nested inside it
+  transfer_complete(80, 2, 0, 2);
+  transfer_start(90, 3, 0, 2);     // [90, 90] zero length
+  transfer_complete(90, 3, 0, 2);
+  transfer_complete(100, 0, 1, 2);
+  transfer_start(100, 1, 0, 3);    // [100, 110] touches the nest
+  transfer_complete(110, 1, 0, 3);
+  transfer_start(120, 0, 1, 4);    // [120, 130] after a gap
+  transfer_complete(130, 0, 1, 4);
+  for (net::NodeId n = 0; n < 4; ++n) {
+    events.push_back(ev(Kind::NodeDone, 130, n));
+  }
+  expect_stream_matches_batch(events, 4);
+  const RunMetrics m = analyze(events, 4);
+  EXPECT_EQ(m.nodes[0].port_busy, 30 + 50 + 10);
+  EXPECT_EQ(m.nodes[3].port_busy, 15);
+  EXPECT_TRUE(validate_trace(events, 4).empty());
+}
+
+// A violating trace over many distinct keys, inserted out of key order:
+// the violation text, built only for reported keys, must list them in
+// ascending key order and cap at the same count as the batch path.
+TEST(StreamingAnalysis, MatchesBatchOnViolationsAcrossManyKeys) {
+  std::vector<TraceEvent> events;
+  for (std::int32_t k = 0; k < 70; ++k) {
+    const net::NodeId src = (k * 5) % 8;
+    const net::NodeId dst = (k * 3 + 1) % 8;
+    const std::int32_t tag = 90 - k;
+    events.push_back(ev(Kind::SendPosted, k, src, dst, 32, tag));
+    if (k % 3 == 0) continue;  // posted, never started
+    events.push_back(ev(Kind::TransferStart, k, src, dst, 32 + k % 2, tag));
+    if (k % 3 == 1) {  // completed twice
+      events.push_back(ev(Kind::TransferComplete, k + 1, src, dst, 32, tag));
+      events.push_back(ev(Kind::TransferComplete, k + 2, src, dst, 32, tag));
+    }
+  }
+  for (net::NodeId n = 0; n < 8; ++n) {
+    events.push_back(ev(Kind::NodeDone, 80, n));
+  }
+  expect_stream_matches_batch(events, 8);
+  const std::vector<std::string> violations = validate_trace(events, 8);
+  ASSERT_FALSE(violations.empty());
+  EXPECT_EQ(violations.back().rfind("... and ", 0), 0u) << violations.back();
+}
+
 TEST(StreamingAnalysis, MatchesBatchOnRealRun) {
   const std::int32_t nprocs = 16;
   TraceRecorder recorder;
