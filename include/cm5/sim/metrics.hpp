@@ -188,19 +188,12 @@ RunMetrics analyze(const std::vector<TraceEvent>& events, std::int32_t nprocs,
 RunMetrics analyze(const TraceRecorder& recorder, std::int32_t nprocs,
                    const RunResult* result = nullptr);
 
-/// The original multi-pass batch analyzer: a test-only reference that
-/// no production code calls. The differential fuzz in tests/integration
-/// and tests/simcore/trace_stream_test.cpp check the streaming
-/// MetricsBuilder against it. Needs the whole event vector (O(E) memory).
-RunMetrics analyze_batch(const std::vector<TraceEvent>& events,
-                         std::int32_t nprocs,
-                         const RunResult* result = nullptr);
-
 /// Streaming analyze(): feed events in commit order via on_event() (as
 /// Cm5Machine::run_observed does), then call finalize() exactly once —
 /// with the RunResult when one exists — to obtain the RunMetrics.
-/// Output is byte-identical to analyze_batch() on any kernel-produced
-/// trace; working memory is O(nprocs + in-flight messages + distinct
+/// Output is byte-identical to the batch reference the tests keep
+/// (tests/support/batch_analysis.hpp) on any kernel-produced trace;
+/// working memory is O(nprocs + in-flight messages + distinct
 /// tags/links), not O(events).
 ///
 /// Exactness over out-of-order streams: per-step/per-link aggregates
@@ -274,17 +267,5 @@ std::vector<std::string> validate_trace(const std::vector<TraceEvent>& events,
 std::vector<std::string> validate_trace(const TraceRecorder& recorder,
                                         std::int32_t nprocs,
                                         const RunResult* result = nullptr);
-
-/// The original single-pass batch validator: a test-only reference that
-/// no production code calls, kept so the differential fuzz can check the
-/// streaming TraceValidator against it.
-std::vector<std::string> validate_trace_batch(
-    const std::vector<TraceEvent>& events, std::int32_t nprocs,
-    const RunResult* result = nullptr);
-
-/// gtest-friendly: joins validate_trace output ("" == valid).
-std::string validation_report(const std::vector<TraceEvent>& events,
-                              std::int32_t nprocs,
-                              const RunResult* result = nullptr);
 
 }  // namespace cm5::sim

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cm5/net/topology.hpp"
@@ -19,8 +18,8 @@
 /// may emit an action before another node's earlier-time action runs
 /// (direct execution lets nodes run locally ahead until they block).
 /// TraceRecorder::sorted() gives the virtual-time ordering. Sinks run
-/// inside the kernel under its lock: they must be fast and must not
-/// call back into the simulation.
+/// inside the kernel as each event commits: they must be fast and must
+/// not call back into the simulation.
 ///
 /// A sink need not retain anything: Cm5Machine::run_observed feeds the
 /// streaming consumers directly (docs/METRICS.md "Streaming analysis"),
@@ -72,8 +71,8 @@ std::string to_string(const TraceEvent& event);
 /// Incremental receiver of a trace stream. on_event() is called once
 /// per event, in the kernel's commit order (the exact order
 /// TraceRecorder::events() would store). When fed from a live run it
-/// executes under the kernel lock: implementations must be fast and
-/// must never call back into the simulation. Concrete consumers
+/// executes inside the kernel: implementations must be fast and must
+/// never call back into the simulation. Concrete consumers
 /// (MetricsBuilder, TraceValidator, TraceFileWriter) expose their own
 /// typed finalize step for whatever they accumulate.
 class TraceConsumer {
@@ -104,8 +103,6 @@ class TraceRecorder {
   }
 
   /// Recorded events involving one node (as actor or peer), in order.
-  /// Served from a lazily built per-node index, so repeated queries on
-  /// a large trace cost O(answer), not O(E) rescans per call.
   std::vector<TraceEvent> for_node(net::NodeId node) const;
 
   /// Renders up to `max_lines` recorded events as text lines.
@@ -119,15 +116,9 @@ class TraceRecorder {
 
  private:
   void ingest(const TraceEvent& event);
-  void ensure_node_index() const;
 
   std::vector<TraceEvent> events_;
   std::array<std::int64_t, TraceEvent::kNumKinds> kind_counts_{};
-  /// Lazy per-node index over the recorded events (event positions where
-  /// the node appears as actor or peer); rebuilt after new events arrive.
-  mutable std::unordered_map<net::NodeId, std::vector<std::size_t>>
-      node_index_;
-  mutable bool node_index_valid_ = false;
 };
 
 }  // namespace cm5::sim

@@ -89,7 +89,6 @@ void TraceRecorder::ingest(const TraceEvent& event) {
   const auto k = static_cast<std::size_t>(event.kind);
   if (k < kind_counts_.size()) ++kind_counts_[k];
   events_.push_back(event);
-  node_index_valid_ = false;
 }
 
 TraceSink TraceRecorder::sink() {
@@ -110,33 +109,11 @@ std::int64_t TraceRecorder::count(TraceEvent::Kind kind) const {
   return k < kind_counts_.size() ? kind_counts_[k] : 0;
 }
 
-void TraceRecorder::ensure_node_index() const {
-  if (node_index_valid_) return;
-  node_index_.clear();
-  // Size each node's posting list exactly before filling it: one
-  // counting pass, one fill pass, no vector regrowth.
-  std::unordered_map<net::NodeId, std::size_t> sizes;
-  for (const TraceEvent& e : events_) {
-    ++sizes[e.node];
-    if (e.peer != e.node) ++sizes[e.peer];
-  }
-  node_index_.reserve(sizes.size());
-  for (const auto& [node, n] : sizes) node_index_[node].reserve(n);
-  for (std::size_t i = 0; i < events_.size(); ++i) {
-    const TraceEvent& e = events_[i];
-    node_index_[e.node].push_back(i);
-    if (e.peer != e.node) node_index_[e.peer].push_back(i);
-  }
-  node_index_valid_ = true;
-}
-
 std::vector<TraceEvent> TraceRecorder::for_node(net::NodeId node) const {
-  ensure_node_index();
   std::vector<TraceEvent> out;
-  const auto it = node_index_.find(node);
-  if (it == node_index_.end()) return out;
-  out.reserve(it->second.size());
-  for (const std::size_t i : it->second) out.push_back(events_[i]);
+  for (const TraceEvent& e : events_) {
+    if (e.node == node || e.peer == node) out.push_back(e);
+  }
   return out;
 }
 

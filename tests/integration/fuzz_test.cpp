@@ -16,6 +16,7 @@
 #include "cm5/sim/fault.hpp"
 #include "cm5/sim/metrics.hpp"
 #include "cm5/util/rng.hpp"
+#include "batch_analysis.hpp"
 #include "reference_network.hpp"
 
 /// Randomized stress tests: generate random-but-valid communication
@@ -497,29 +498,12 @@ TEST_P(FuzzTest, PrimitiveSoupIsDeterministic) {
 // --- streaming-vs-batch analysis differential -------------------------------
 //
 // The streaming consumers (sim::MetricsBuilder / sim::TraceValidator)
-// promise byte-identical output to the retained batch oracles
-// (sim::analyze_batch / sim::validate_trace_batch) on any kernel-
-// produced trace. Each compared trace is one case: 12 seeds x
-// (28 clean + 28 faulty) cases across the suite. Metrics are compared
+// promise byte-identical output to the batch reference
+// (tests/support/batch_analysis.hpp) on any kernel-produced trace. Each
+// compared trace is one case: 12 seeds x (28 clean + 28 faulty) cases
+// across the suite. sim::expect_streaming_matches_batch compares metrics
 // through their full JSON dump (every node, step and link row),
 // violations as exact string vectors.
-
-void expect_streaming_matches_batch(const std::vector<sim::TraceEvent>& events,
-                                    std::int32_t nprocs,
-                                    const sim::RunResult* result,
-                                    const std::string& what) {
-  const sim::RunMetrics batch = sim::analyze_batch(events, nprocs, result);
-  sim::MetricsBuilder builder(nprocs);
-  for (const sim::TraceEvent& e : events) builder.on_event(e);
-  const sim::RunMetrics streamed = builder.finalize(result);
-  EXPECT_EQ(streamed.to_json(true).dump(), batch.to_json(true).dump()) << what;
-
-  const std::vector<std::string> batch_violations =
-      sim::validate_trace_batch(events, nprocs, result);
-  sim::TraceValidator validator(nprocs);
-  for (const sim::TraceEvent& e : events) validator.on_event(e);
-  EXPECT_EQ(validator.finalize(result), batch_violations) << what;
-}
 
 TEST_P(FuzzTest, StreamingAnalysisMatchesBatchOnSchedules) {
   // 28 clean cases per seed: 7 random patterns x 4 schedulers.
@@ -538,7 +522,7 @@ TEST_P(FuzzTest, StreamingAnalysisMatchesBatchOnSchedules) {
       const auto schedule = sched::build_schedule(scheduler, pattern);
       const RunCapture cap = capture_run(
           nprocs, [&](Node& node) { sched::execute_schedule(node, schedule); });
-      expect_streaming_matches_batch(
+      sim::expect_streaming_matches_batch(
           cap.events, nprocs, &cap.result,
           "seed " + std::to_string(seed) + " variant " +
               std::to_string(variant) + " " +
@@ -581,7 +565,7 @@ TEST_P(FuzzTest, StreamingAnalysisMatchesBatchOnFaultyRuns) {
     sched::ResilientOptions options;
     options.trace = recorder.sink();
     const auto report = sched::run_resilient_schedule(m, schedule, options);
-    expect_streaming_matches_batch(
+    sim::expect_streaming_matches_batch(
         recorder.events(), nprocs, &report.run,
         "seed " + std::to_string(seed) + " faulty " + std::to_string(variant));
   }

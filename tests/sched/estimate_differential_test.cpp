@@ -10,6 +10,7 @@
 #include "cm5/sched/executor.hpp"
 #include "cm5/sim/metrics.hpp"
 #include "cm5/sim/trace.hpp"
+#include "batch_analysis.hpp"
 
 /// Differential tests between the analytic cost model and the executed
 /// simulation: the model's step count must agree with both the

@@ -15,6 +15,7 @@
 #include "cm5/sched/executor.hpp"
 #include "cm5/sim/metrics.hpp"
 #include "cm5/sim/trace.hpp"
+#include "batch_analysis.hpp"
 #include "golden_regen.hpp"
 
 /// Golden-trace regression tests: seeded 8-node runs of every regular

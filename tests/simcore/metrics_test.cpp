@@ -10,6 +10,7 @@
 #include "cm5/sched/complete_exchange.hpp"
 #include "cm5/sim/trace.hpp"
 #include "cm5/util/time.hpp"
+#include "batch_analysis.hpp"
 
 namespace cm5::sim {
 namespace {

@@ -13,6 +13,7 @@
 #include "cm5/sim/trace.hpp"
 #include "cm5/sim/trace_file.hpp"
 #include "cm5/util/time.hpp"
+#include "batch_analysis.hpp"
 
 /// Streaming trace pipeline tests: the recorder's queries, byte-identical
 /// streaming-vs-batch analysis on hand-built traces (valid and
@@ -64,7 +65,9 @@ std::vector<TraceEvent> tiny_trace() {
 }
 
 /// A faulty trace exercising the drop lookahead (TransferComplete voided
-/// by an immediately following FaultDrop) and an unmatched start.
+/// by an immediately following FaultDrop), an unmatched start, and a
+/// timed receive whose WaitTimeout ends the receive wait: the gap before
+/// node 1's next compute is other wait, not receive wait.
 std::vector<TraceEvent> faulty_trace() {
   return {
       ev(Kind::SendPosted, 10, 0, 1, 32, 1),
@@ -72,8 +75,11 @@ std::vector<TraceEvent> faulty_trace() {
       ev(Kind::TransferComplete, 90, 0, 1, 32, 1),
       ev(Kind::FaultDrop, 90, 0, 1, 32, 1),
       ev(Kind::SendPosted, 100, 2, 3, 48, 2),
+      ev(Kind::RecvPosted, 100, 1, 2, 0, 7),
       ev(Kind::TransferStart, 110, 2, 3, 48, 2),
       ev(Kind::FaultKill, 120, 3),
+      ev(Kind::WaitTimeout, 120, 1, 2, 0, 7),
+      ev(Kind::Compute, 140, 1, -1, 10),
       ev(Kind::NodeDone, 150, 0),
       ev(Kind::NodeDone, 150, 1),
       ev(Kind::NodeDone, 150, 2),
@@ -93,24 +99,9 @@ std::vector<TraceEvent> violating_trace() {
   };
 }
 
-void expect_stream_matches_batch(const std::vector<TraceEvent>& events,
-                                 std::int32_t nprocs,
-                                 const RunResult* result = nullptr) {
-  const RunMetrics batch = analyze_batch(events, nprocs, result);
-  MetricsBuilder builder(nprocs);
-  for (const TraceEvent& e : events) builder.on_event(e);
-  const RunMetrics streamed = builder.finalize(result);
-  EXPECT_EQ(streamed.to_json(true).dump(), batch.to_json(true).dump());
-
-  const auto batch_violations = validate_trace_batch(events, nprocs, result);
-  TraceValidator validator(nprocs);
-  for (const TraceEvent& e : events) validator.on_event(e);
-  EXPECT_EQ(validator.finalize(result), batch_violations);
-}
-
 // --- recorder ---------------------------------------------------------------
 
-TEST(TraceRecorderStream, ForNodeUsesIndexAndSeesActorAndPeer) {
+TEST(TraceRecorderStream, ForNodeSeesActorAndPeer) {
   TraceRecorder recorder;
   auto sink = recorder.sink();
   for (const TraceEvent& e : tiny_trace()) sink(e);
@@ -154,19 +145,19 @@ TEST(TraceRecorderStream, KernelSetTraceConsumerOverloadStreams) {
 // --- streaming vs batch on hand-built traces --------------------------------
 
 TEST(StreamingAnalysis, MatchesBatchOnTinyTrace) {
-  expect_stream_matches_batch(tiny_trace(), 2);
+  expect_streaming_matches_batch(tiny_trace(), 2);
 }
 
 TEST(StreamingAnalysis, MatchesBatchOnFaultyTrace) {
-  expect_stream_matches_batch(faulty_trace(), 4);
+  expect_streaming_matches_batch(faulty_trace(), 4);
 }
 
 TEST(StreamingAnalysis, MatchesBatchOnViolatingTrace) {
-  expect_stream_matches_batch(violating_trace(), 2);
+  expect_streaming_matches_batch(violating_trace(), 2);
 }
 
 TEST(StreamingAnalysis, MatchesBatchOnEmptyTrace) {
-  expect_stream_matches_batch({}, 4);
+  expect_streaming_matches_batch({}, 4);
 }
 
 // Several transfers in flight on one (src, dst, tag) key complete in
@@ -204,7 +195,7 @@ TEST(StreamingAnalysis, MatchesBatchWithSeveralTransfersInFlightOnOneKey) {
   for (net::NodeId n = 0; n < 4; ++n) {
     events.push_back(ev(Kind::NodeDone, 140, n));
   }
-  expect_stream_matches_batch(events, 4);
+  expect_streaming_matches_batch(events, 4);
   const RunMetrics m = analyze(events, 4);
   EXPECT_EQ(m.nodes[0].port_busy, 50 + 25);  // [10, 60] and [70, 95]
   EXPECT_EQ(m.nodes[2].port_busy, 139 - 1);
@@ -244,7 +235,7 @@ TEST(StreamingAnalysis, MatchesBatchOnTouchingOverlappingNestedPortIntervals) {
   for (net::NodeId n = 0; n < 4; ++n) {
     events.push_back(ev(Kind::NodeDone, 130, n));
   }
-  expect_stream_matches_batch(events, 4);
+  expect_streaming_matches_batch(events, 4);
   const RunMetrics m = analyze(events, 4);
   EXPECT_EQ(m.nodes[0].port_busy, 30 + 50 + 10);
   EXPECT_EQ(m.nodes[3].port_busy, 15);
@@ -271,7 +262,7 @@ TEST(StreamingAnalysis, MatchesBatchOnViolationsAcrossManyKeys) {
   for (net::NodeId n = 0; n < 8; ++n) {
     events.push_back(ev(Kind::NodeDone, 80, n));
   }
-  expect_stream_matches_batch(events, 8);
+  expect_streaming_matches_batch(events, 8);
   const std::vector<std::string> violations = validate_trace(events, 8);
   ASSERT_FALSE(violations.empty());
   EXPECT_EQ(violations.back().rfind("... and ", 0), 0u) << violations.back();
@@ -287,7 +278,7 @@ TEST(StreamingAnalysis, MatchesBatchOnRealRun) {
                                  256);
       },
       recorder.sink());
-  expect_stream_matches_batch(recorder.events(), nprocs, &result);
+  expect_streaming_matches_batch(recorder.events(), nprocs, &result);
 }
 
 /// Runs `program` on `nprocs` nodes (under `plan`, when given) twice:
@@ -305,12 +296,8 @@ machine::ObservedRun expect_observed_matches_batch(
   const RunResult twin_result = recorded.run_traced(program, twin.sink());
   machine::ObservedRun run = observed.run_observed(program);
   EXPECT_EQ(run.result.makespan, twin_result.makespan);
-  EXPECT_EQ(run.metrics.to_json(true).dump(),
-            analyze_batch(twin.events(), nprocs, &twin_result)
-                .to_json(true)
-                .dump());
-  EXPECT_EQ(run.violations,
-            validate_trace_batch(twin.events(), nprocs, &twin_result));
+  expect_matches_batch(run.metrics, run.violations, twin.events(), nprocs,
+                       &twin_result);
   return run;
 }
 
