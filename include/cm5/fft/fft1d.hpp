@@ -56,10 +56,6 @@ class FftPlan {
 /// transform many rows of one length.
 void fft_inplace(std::span<Complex> data, bool inverse = false);
 
-/// Reference O(N^2) DFT used to validate fft_inplace in tests.
-std::vector<Complex> dft_reference(std::span<const Complex> data,
-                                   bool inverse = false);
-
 /// Floating-point operation count of one radix-2 FFT of length `n` —
 /// the standard 5 n lg n figure, used to charge simulated compute time.
 double fft_flops(std::int64_t n);

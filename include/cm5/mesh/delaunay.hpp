@@ -26,8 +26,4 @@ TriMesh delaunay_triangulation(std::span<const Point> points);
 /// points so the triangulation is well conditioned.
 TriMesh random_delaunay_mesh(std::int32_t num_points, std::uint64_t seed);
 
-/// True if no vertex lies strictly inside any triangle's circumcircle —
-/// the Delaunay property. Exposed for tests (O(T * V)).
-bool is_delaunay(const TriMesh& mesh, double tolerance = 1e-9);
-
 }  // namespace cm5::mesh

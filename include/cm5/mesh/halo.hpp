@@ -1,12 +1,16 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
+#include "cm5/machine/machine.hpp"
 #include "cm5/mesh/mesh.hpp"
 #include "cm5/mesh/partition.hpp"
 #include "cm5/sched/pattern.hpp"
+#include "cm5/sched/schedule.hpp"
 
 /// \file halo.hpp
 /// Halo (ghost) exchange plans derived from a partitioned mesh — the
@@ -37,7 +41,22 @@ class HaloPlan {
   /// Total ghost entities received by `reader`.
   std::int64_t ghosts_of(PartId reader) const;
 
+  /// One ghost refresh, run by every node: executes `schedule` (built
+  /// for pattern(sizeof(T))) with real payloads, sending each reader the
+  /// entries of `values` it needs from this node and storing the ghost
+  /// entries that arrive. `values` is indexed by entity id.
+  template <typename T>
+  void exchange(machine::Node& node, const sched::CommSchedule& schedule,
+                std::span<T> values) const {
+    static_assert(std::is_trivially_copyable_v<T>);
+    exchange_bytes(node, schedule, std::as_writable_bytes(values), sizeof(T));
+  }
+
  private:
+  void exchange_bytes(machine::Node& node, const sched::CommSchedule& schedule,
+                      std::span<std::byte> values,
+                      std::size_t entity_bytes) const;
+
   std::int32_t nparts_;
   // lists_[owner][reader] = sorted shared ids.
   std::vector<std::vector<std::vector<std::int32_t>>> lists_;

@@ -104,9 +104,6 @@ class FluidNetwork {
   /// degradation; `scale` must be >= 0 (0 stalls the link entirely).
   void set_link_capacity_scale(util::SimTime now, LinkId link, double scale);
 
-  /// Current capacity scale of a link (1.0 unless degraded).
-  double link_capacity_scale(LinkId link) const;
-
   /// Test hook: the current max-min rate (bytes/s) of an active flow.
   /// Re-solves if rates are stale, so calling it perturbs rate_solves.
   double flow_rate(FlowId id);

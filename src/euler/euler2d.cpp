@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
-#include "cm5/sched/executor.hpp"
 #include "cm5/util/check.hpp"
 
 namespace cm5::euler {
@@ -221,27 +219,7 @@ DistributedEuler::DistributedEuler(machine::Node& node,
 }
 
 void DistributedEuler::exchange_ghosts() {
-  const auto self = node_->self();
-  auto& cells = solver_.cells_;
-  sched::DataPlan plan;
-  plan.out = [&](machine::NodeId peer) {
-    const auto ids = halo_->shared(self, peer);
-    std::vector<std::byte> payload(ids.size() * sizeof(Cons));
-    for (std::size_t k = 0; k < ids.size(); ++k) {
-      std::memcpy(payload.data() + k * sizeof(Cons),
-                  &cells[static_cast<std::size_t>(ids[k])], sizeof(Cons));
-    }
-    return payload;
-  };
-  plan.in = [&](machine::NodeId peer, const machine::Message& msg) {
-    const auto ids = halo_->shared(peer, self);
-    CM5_CHECK(msg.data.size() == ids.size() * sizeof(Cons));
-    for (std::size_t k = 0; k < ids.size(); ++k) {
-      std::memcpy(&cells[static_cast<std::size_t>(ids[k])],
-                  msg.data.data() + k * sizeof(Cons), sizeof(Cons));
-    }
-  };
-  sched::execute_schedule(*node_, schedule_, {}, &plan);
+  halo_->exchange(*node_, schedule_, std::span<Cons>(solver_.cells_));
 }
 
 void DistributedEuler::step(double dt) {

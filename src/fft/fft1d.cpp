@@ -1,19 +1,15 @@
 #include "cm5/fft/fft1d.hpp"
 
+#include <bit>
 #include <cmath>
 #include <numbers>
 
 #include "cm5/util/check.hpp"
 
 namespace cm5::fft {
-namespace {
-
-bool is_power_of_two(std::size_t n) { return n > 0 && (n & (n - 1)) == 0; }
-
-}  // namespace
 
 FftPlan::FftPlan(std::size_t n, bool inverse) : n_(n), inverse_(inverse) {
-  CM5_CHECK_MSG(is_power_of_two(n), "FFT length must be a power of two");
+  CM5_CHECK_MSG(std::has_single_bit(n), "FFT length must be a power of two");
 
   // Bit-reversal permutation: the pairs the classic j-counter swaps.
   std::size_t j = 0;
@@ -78,24 +74,6 @@ void FftPlan::run(std::span<Complex> data) const {
 
 void fft_inplace(std::span<Complex> data, bool inverse) {
   FftPlan(data.size(), inverse).run(data);
-}
-
-std::vector<Complex> dft_reference(std::span<const Complex> data,
-                                   bool inverse) {
-  const std::size_t n = data.size();
-  const double sign = inverse ? 1.0 : -1.0;
-  std::vector<Complex> out(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    Complex sum(0.0, 0.0);
-    for (std::size_t t = 0; t < n; ++t) {
-      const double angle = sign * 2.0 * std::numbers::pi *
-                           static_cast<double>(k * t % n) /
-                           static_cast<double>(n);
-      sum += data[t] * Complex(std::cos(angle), std::sin(angle));
-    }
-    out[k] = inverse ? sum / static_cast<double>(n) : sum;
-  }
-  return out;
 }
 
 double fft_flops(std::int64_t n) {

@@ -151,23 +151,4 @@ TriMesh random_delaunay_mesh(std::int32_t num_points, std::uint64_t seed) {
   return delaunay_triangulation(points);
 }
 
-bool is_delaunay(const TriMesh& mesh, double tolerance) {
-  for (TriId t = 0; t < mesh.num_triangles(); ++t) {
-    const Triangle& tri = mesh.triangle(t);
-    const Point& a = mesh.vertex(tri.v[0]);
-    const Point& b = mesh.vertex(tri.v[1]);
-    const Point& c = mesh.vertex(tri.v[2]);
-    // Scale-aware tolerance: incircle grows with the 4th power of size.
-    const double scale =
-        std::pow(std::abs(mesh.signed_area(t)) + 1e-30, 2.0);
-    for (VertexId v = 0; v < mesh.num_vertices(); ++v) {
-      if (v == tri.v[0] || v == tri.v[1] || v == tri.v[2]) continue;
-      if (incircle(a, b, c, mesh.vertex(v)) > tolerance * scale) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 }  // namespace cm5::mesh

@@ -1,8 +1,10 @@
 #include "cm5/mesh/halo.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 
+#include "cm5/sched/executor.hpp"
 #include "cm5/util/check.hpp"
 
 namespace cm5::mesh {
@@ -48,6 +50,35 @@ std::int64_t HaloPlan::ghosts_of(PartId reader) const {
     }
   }
   return total;
+}
+
+void HaloPlan::exchange_bytes(machine::Node& node,
+                              const sched::CommSchedule& schedule,
+                              std::span<std::byte> values,
+                              std::size_t entity_bytes) const {
+  const PartId self = node.self();
+  auto entity = [&](std::int32_t id) {
+    return values.data() + static_cast<std::size_t>(id) * entity_bytes;
+  };
+  sched::DataPlan plan;
+  plan.out = [&](machine::NodeId peer) {
+    const auto ids = shared(self, peer);
+    std::vector<std::byte> payload(ids.size() * entity_bytes);
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      std::memcpy(payload.data() + k * entity_bytes, entity(ids[k]),
+                  entity_bytes);
+    }
+    return payload;
+  };
+  plan.in = [&](machine::NodeId peer, const machine::Message& msg) {
+    const auto ids = shared(peer, self);
+    CM5_CHECK(msg.data.size() == ids.size() * entity_bytes);
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      std::memcpy(entity(ids[k]), msg.data.data() + k * entity_bytes,
+                  entity_bytes);
+    }
+  };
+  sched::execute_schedule(node, schedule, {}, &plan);
 }
 
 namespace {

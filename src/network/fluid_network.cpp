@@ -45,10 +45,6 @@ void FluidNetwork::set_link_capacity_scale(util::SimTime now, LinkId link,
   rates_dirty_ = true;
 }
 
-double FluidNetwork::link_capacity_scale(LinkId link) const {
-  return capacity_scale_[static_cast<std::size_t>(link)];
-}
-
 void FluidNetwork::progress_to(util::SimTime t) {
   const double dt = util::to_seconds(t - now_);
   if (dt > 0.0) {

@@ -1,6 +1,7 @@
 #include "cm5/runtime/gather.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <map>
 
@@ -12,15 +13,15 @@
 namespace cm5::runtime {
 namespace {
 
-bool is_power_of_two(std::int32_t n) { return n > 0 && (n & (n - 1)) == 0; }
-
 /// All nodes learn every node's fixed-size byte row. Recursive-doubling
 /// all-gather on power-of-two machines; on other sizes, gather-to-0 by
 /// linear receives plus a linear broadcast (both work for any N).
 std::vector<std::vector<std::byte>> allgather_rows(
     Node& node, std::span<const std::byte> mine) {
   const std::int32_t n = node.nprocs();
-  if (is_power_of_two(n)) return sched::all_gather_data(node, mine);
+  if (std::has_single_bit(static_cast<std::uint32_t>(n))) {
+    return sched::all_gather_data(node, mine);
+  }
 
   std::vector<std::vector<std::byte>> rows(static_cast<std::size_t>(n));
   rows[static_cast<std::size_t>(node.self())].assign(mine.begin(), mine.end());

@@ -1,32 +1,40 @@
 #include "cm5/sched/broadcast.hpp"
 
 #include "cm5/util/check.hpp"
+#include "exact_log2.hpp"
 
 namespace cm5::sched {
 namespace {
 
-bool is_power_of_two(std::int32_t n) { return n > 0 && (n & (n - 1)) == 0; }
+// Each skeleton decides one broadcast's peers, tags and order: `forward`
+// is called on a sender with the peer to send to, `accept` on a receiver
+// with the peer to receive from, both with the tag. The phantom and data
+// forms supply only those two bodies, so both post the same sequence.
 
-std::int32_t log2_exact(std::int32_t n) {
-  std::int32_t l = 0;
-  while ((1 << l) < n) ++l;
-  return l;
-}
-
-/// Shared REB skeleton: `forward` is called on a sender with the peer to
-/// send to; `accept` on a receiver with the peer to receive from.
-/// Both are expressed in physical ids; internally the tree is rooted by
-/// rotating ids so any root works.
-template <typename Forward, typename Accept>
-void reb_skeleton(Node& node, NodeId root, Forward&& forward,
-                  Accept&& accept) {
+/// LIB: the root sends to root+1, root+2, ... in turn with tag 0; every
+/// other node receives once from the root, any tag.
+constexpr auto lib_skeleton = [](Node& node, NodeId root, auto&& forward,
+                                 auto&& accept) {
   const std::int32_t n = node.nprocs();
-  CM5_CHECK_MSG(is_power_of_two(n),
-                "recursive broadcast needs a power-of-two machine");
+  CM5_CHECK(root >= 0 && root < n);
+  if (node.self() != root) {
+    accept(root, machine::kAnyTag);
+    return;
+  }
+  for (std::int32_t i = 1; i < n; ++i) {
+    forward(static_cast<NodeId>((root + i) % n), 0);
+  }
+};
+
+/// REB: ids are rotated (rel = self - root mod N) so any root works.
+constexpr auto reb_skeleton = [](Node& node, NodeId root, auto&& forward,
+                                 auto&& accept) {
+  const std::int32_t n = node.nprocs();
+  const std::int32_t rounds =
+      exact_log2(n, "recursive broadcast needs a power-of-two machine");
   CM5_CHECK(root >= 0 && root < n);
   const std::int32_t rel = (node.self() - root + n) % n;
   auto phys = [&](std::int32_t r) { return static_cast<NodeId>((r + root) % n); };
-  const std::int32_t rounds = log2_exact(n);
   // Figure 9: in round j only processors at multiples of `distance`
   // participate; even multiples already hold the message and forward it.
   for (std::int32_t j = 1; j <= rounds; ++j) {
@@ -38,6 +46,35 @@ void reb_skeleton(Node& node, NodeId root, Forward&& forward,
       accept(phys(rel - distance), j);
     }
   }
+};
+
+/// The phantom form of a skeleton: size-only messages.
+void phantom_broadcast(Node& node, NodeId root, std::int64_t bytes,
+                       auto skeleton) {
+  skeleton(
+      node, root,
+      [&](NodeId peer, std::int32_t tag) { node.send_block(peer, bytes, tag); },
+      [&](NodeId peer, std::int32_t tag) {
+        (void)node.receive_block(peer, tag);
+      });
+}
+
+/// The data form of a skeleton: every receiver holds, and forwards, the
+/// root's payload; returns it on every node.
+std::vector<std::byte> data_broadcast(Node& node, NodeId root,
+                                      std::span<const std::byte> data,
+                                      auto skeleton) {
+  std::vector<std::byte> held;
+  if (node.self() == root) held.assign(data.begin(), data.end());
+  skeleton(
+      node, root,
+      [&](NodeId peer, std::int32_t tag) {
+        node.send_block_data(peer, held, tag);
+      },
+      [&](NodeId peer, std::int32_t tag) {
+        held = node.receive_block(peer, tag).data;
+      });
+  return held;
 }
 
 }  // namespace
@@ -55,24 +92,11 @@ const char* broadcast_name(BroadcastAlgorithm algorithm) {
 }
 
 void run_linear_broadcast(Node& node, NodeId root, std::int64_t bytes) {
-  const std::int32_t n = node.nprocs();
-  CM5_CHECK(root >= 0 && root < n);
-  if (node.self() == root) {
-    for (std::int32_t i = 1; i < n; ++i) {
-      node.send_block(static_cast<NodeId>((root + i) % n), bytes);
-    }
-  } else {
-    (void)node.receive_block(root);
-  }
+  phantom_broadcast(node, root, bytes, lib_skeleton);
 }
 
 void run_recursive_broadcast(Node& node, NodeId root, std::int64_t bytes) {
-  reb_skeleton(
-      node, root,
-      [&](NodeId peer, std::int32_t tag) { node.send_block(peer, bytes, tag); },
-      [&](NodeId peer, std::int32_t tag) {
-        (void)node.receive_block(peer, tag);
-      });
+  phantom_broadcast(node, root, bytes, reb_skeleton);
 }
 
 void run_system_broadcast(Node& node, NodeId root, std::int64_t bytes) {
@@ -119,31 +143,12 @@ void run_pipelined_broadcast(Node& node, NodeId root, std::int64_t bytes,
 
 std::vector<std::byte> recursive_broadcast_data(
     Node& node, NodeId root, std::span<const std::byte> data) {
-  std::vector<std::byte> held;
-  if (node.self() == root) held.assign(data.begin(), data.end());
-  reb_skeleton(
-      node, root,
-      [&](NodeId peer, std::int32_t tag) {
-        node.send_block_data(peer, held, tag);
-      },
-      [&](NodeId peer, std::int32_t tag) {
-        held = node.receive_block(peer, tag).data;
-      });
-  return held;
+  return data_broadcast(node, root, data, reb_skeleton);
 }
 
 std::vector<std::byte> linear_broadcast_data(Node& node, NodeId root,
                                              std::span<const std::byte> data) {
-  const std::int32_t n = node.nprocs();
-  CM5_CHECK(root >= 0 && root < n);
-  if (node.self() == root) {
-    std::vector<std::byte> held(data.begin(), data.end());
-    for (std::int32_t i = 1; i < n; ++i) {
-      node.send_block_data(static_cast<NodeId>((root + i) % n), held);
-    }
-    return held;
-  }
-  return node.receive_block(root).data;
+  return data_broadcast(node, root, data, lib_skeleton);
 }
 
 }  // namespace cm5::sched

@@ -4,13 +4,9 @@
 #include <vector>
 
 #include "cm5/util/check.hpp"
+#include "exact_log2.hpp"
 
 namespace cm5::sched {
-namespace {
-
-bool is_power_of_two(std::int32_t n) { return n > 0 && (n & (n - 1)) == 0; }
-
-}  // namespace
 
 CommSchedule build_linear(const CommPattern& pattern) {
   const std::int32_t n = pattern.nprocs();
@@ -34,8 +30,7 @@ template <typename VirtualToPhysical>
 CommSchedule build_xor_pairing(const CommPattern& pattern,
                                VirtualToPhysical&& phys) {
   const std::int32_t n = pattern.nprocs();
-  CM5_CHECK_MSG(is_power_of_two(n),
-                "XOR pairing requires a power-of-two processor count");
+  (void)exact_log2(n, "XOR pairing requires a power-of-two processor count");
   CommSchedule schedule(n);
   for (std::int32_t j = 1; j < n; ++j) {
     const std::int32_t step = schedule.add_step();

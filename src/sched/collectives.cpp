@@ -5,17 +5,10 @@
 #include <map>
 
 #include "cm5/util/check.hpp"
+#include "exact_log2.hpp"
 
 namespace cm5::sched {
 namespace {
-
-bool is_power_of_two(std::int32_t n) { return n > 0 && (n & (n - 1)) == 0; }
-
-std::int32_t log2_exact(std::int32_t n) {
-  std::int32_t l = 0;
-  while ((1 << l) < n) ++l;
-  return l;
-}
 
 /// Serializes (id, payload) items: [int32 id][int64 size][bytes...].
 void append_item(std::vector<std::byte>& buffer, std::int32_t id,
@@ -29,8 +22,16 @@ void append_item(std::vector<std::byte>& buffer, std::int32_t id,
               payload.size());
 }
 
-void parse_items(std::span<const std::byte> buffer,
-                 std::map<std::int32_t, std::vector<std::byte>>& out) {
+using Held = std::map<std::int32_t, std::vector<std::byte>>;
+
+/// Every held item, in id order.
+std::vector<std::byte> pack_all(const Held& held) {
+  std::vector<std::byte> buffer;
+  for (const auto& [id, payload] : held) append_item(buffer, id, payload);
+  return buffer;
+}
+
+void parse_items(std::span<const std::byte> buffer, Held& out) {
   std::size_t offset = 0;
   while (offset < buffer.size()) {
     std::int32_t id;
@@ -48,38 +49,8 @@ void parse_items(std::span<const std::byte> buffer,
   }
 }
 
-}  // namespace
-
-// ------------------------------------------------------------- all-gather
-
-void all_gather(Node& node, std::int64_t bytes) {
-  const std::int32_t n = node.nprocs();
-  CM5_CHECK_MSG(is_power_of_two(n), "all_gather needs a power-of-two machine");
-  CM5_CHECK(bytes >= 0);
-  // Recursive doubling with full-duplex swaps (CMMD_swap): both equal
-  // directions of every exchange overlap.
-  const std::int32_t steps = log2_exact(n);
-  for (std::int32_t k = 0; k < steps; ++k) {
-    const NodeId peer = node.self() ^ (1 << k);
-    (void)node.swap_block(peer, bytes << k, k);
-  }
-}
-
-std::vector<std::vector<std::byte>> all_gather_data(
-    Node& node, std::span<const std::byte> mine) {
-  const std::int32_t n = node.nprocs();
-  CM5_CHECK_MSG(is_power_of_two(n), "all_gather needs a power-of-two machine");
-  std::map<std::int32_t, std::vector<std::byte>> held;
-  held[node.self()].assign(mine.begin(), mine.end());
-  const std::int32_t steps = log2_exact(n);
-  for (std::int32_t k = 0; k < steps; ++k) {
-    const NodeId peer = node.self() ^ (1 << k);
-    std::vector<std::byte> outgoing;
-    for (const auto& [id, payload] : held) append_item(outgoing, id, payload);
-    const machine::Message msg = node.swap_block_data(peer, outgoing, k);
-    parse_items(msg.data, held);
-  }
-  CM5_CHECK(held.size() == static_cast<std::size_t>(n));
+/// The held items as a vector indexed by node id.
+std::vector<std::vector<std::byte>> by_node(Held& held, std::int32_t n) {
   std::vector<std::vector<std::byte>> result(static_cast<std::size_t>(n));
   for (auto& [id, payload] : held) {
     result[static_cast<std::size_t>(id)] = std::move(payload);
@@ -87,13 +58,92 @@ std::vector<std::vector<std::byte>> all_gather_data(
   return result;
 }
 
+// Each skeleton below decides one collective's peers, tags and order; its
+// phantom (timing) and data forms supply only the send and receive
+// bodies, so both post the same message sequence. Trees are rooted by
+// rotating ids (rel = self - root mod N), so any root works.
+
+/// Recursive doubling: step k swaps with self XOR 2^k, tag k.
+template <typename Exchange>
+void all_gather_skeleton(Node& node, Exchange&& exchange) {
+  const std::int32_t steps = exact_log2(
+      node.nprocs(), "all_gather needs a power-of-two machine");
+  for (std::int32_t k = 0; k < steps; ++k) {
+    exchange(static_cast<NodeId>(node.self() ^ (1 << k)), k);
+  }
+}
+
+/// Binomial gather tree: in step k (tag k) a node whose relative id is
+/// an odd multiple of 2^k passes its subtree's blocks down-tree and
+/// stops; an even multiple receives its partner's subtree.
+template <typename Send, typename Recv>
+void gather_skeleton(Node& node, NodeId root, Send&& send, Recv&& recv) {
+  const std::int32_t n = node.nprocs();
+  const std::int32_t steps =
+      exact_log2(n, "gather needs a power-of-two machine");
+  CM5_CHECK(root >= 0 && root < n);
+  const std::int32_t rel = (node.self() - root + n) % n;
+  auto phys = [&](std::int32_t r) { return static_cast<NodeId>((r + root) % n); };
+  for (std::int32_t k = 0; k < steps; ++k) {
+    const std::int32_t bit = 1 << k;
+    if (rel % (bit << 1) == bit) {
+      send(phys(rel - bit), k);
+      return;  // done participating
+    }
+    if (rel % (bit << 1) == 0) recv(phys(rel + bit), k);
+  }
+}
+
+/// The gather tree run backwards: in step k (tag k, high bit first) an
+/// even multiple of 2^k hands the upper half of its range to rel + 2^k.
+template <typename Send, typename Recv>
+void scatter_skeleton(Node& node, NodeId root, Send&& send, Recv&& recv) {
+  const std::int32_t n = node.nprocs();
+  const std::int32_t steps =
+      exact_log2(n, "scatter needs a power-of-two machine");
+  CM5_CHECK(root >= 0 && root < n);
+  const std::int32_t rel = (node.self() - root + n) % n;
+  auto phys = [&](std::int32_t r) { return static_cast<NodeId>((r + root) % n); };
+  for (std::int32_t k = steps - 1; k >= 0; --k) {
+    const std::int32_t bit = 1 << k;
+    if (rel % (bit << 1) == 0) {
+      send(phys(rel + bit), k);
+    } else if (rel % (bit << 1) == bit) {
+      recv(phys(rel - bit), k);
+    }
+  }
+}
+
+}  // namespace
+
+// ------------------------------------------------------------- all-gather
+
+void all_gather(Node& node, std::int64_t bytes) {
+  CM5_CHECK(bytes >= 0);
+  // Full-duplex swaps (CMMD_swap): both equal directions of every
+  // exchange overlap.
+  all_gather_skeleton(node, [&](NodeId peer, std::int32_t k) {
+    (void)node.swap_block(peer, bytes << k, k);
+  });
+}
+
+std::vector<std::vector<std::byte>> all_gather_data(
+    Node& node, std::span<const std::byte> mine) {
+  Held held;
+  held[node.self()].assign(mine.begin(), mine.end());
+  all_gather_skeleton(node, [&](NodeId peer, std::int32_t k) {
+    parse_items(node.swap_block_data(peer, pack_all(held), k).data, held);
+  });
+  CM5_CHECK(held.size() == static_cast<std::size_t>(node.nprocs()));
+  return by_node(held, node.nprocs());
+}
+
 // ------------------------------------------------- data-network reduction
 
 void all_reduce_sum(Node& node, std::span<double> values) {
   const std::int32_t n = node.nprocs();
-  CM5_CHECK_MSG(is_power_of_two(n),
-                "all_reduce_sum needs a power-of-two machine");
-  const std::int32_t steps = log2_exact(n);
+  const std::int32_t steps =
+      exact_log2(n, "all_reduce_sum needs a power-of-two machine");
   const NodeId self = node.self();
 
   // Rabenseifner's algorithm: reduce-scatter by recursive halving, then
@@ -172,113 +222,66 @@ void control_network_vector_reduce(Node& node, std::int64_t length) {
 // ------------------------------------------------------- gather / scatter
 
 void gather(Node& node, NodeId root, std::int64_t bytes) {
-  const std::int32_t n = node.nprocs();
-  CM5_CHECK_MSG(is_power_of_two(n), "gather needs a power-of-two machine");
-  CM5_CHECK(root >= 0 && root < n);
-  const std::int32_t rel = (node.self() - root + n) % n;
-  const std::int32_t steps = log2_exact(n);
-  for (std::int32_t k = 0; k < steps; ++k) {
-    const std::int32_t bit = 1 << k;
-    if (rel % (bit << 1) == bit) {
-      // I hold the blocks of my 2^k-node subtree; pass them down-tree.
-      node.send_block(static_cast<NodeId>((rel - bit + root) % n),
-                      bytes << k, k);
-      return;  // done participating
-    }
-    if (rel % (bit << 1) == 0 && rel + bit < n) {
-      (void)node.receive_block(static_cast<NodeId>((rel + bit + root) % n), k);
-    }
-  }
+  gather_skeleton(
+      node, root,
+      [&](NodeId peer, std::int32_t k) { node.send_block(peer, bytes << k, k); },
+      [&](NodeId peer, std::int32_t k) { (void)node.receive_block(peer, k); });
 }
 
 std::vector<std::vector<std::byte>> gather_data(
     Node& node, NodeId root, std::span<const std::byte> mine) {
-  const std::int32_t n = node.nprocs();
-  CM5_CHECK_MSG(is_power_of_two(n), "gather needs a power-of-two machine");
-  CM5_CHECK(root >= 0 && root < n);
-  const std::int32_t rel = (node.self() - root + n) % n;
-  const std::int32_t steps = log2_exact(n);
-  std::map<std::int32_t, std::vector<std::byte>> held;
+  Held held;
   held[node.self()].assign(mine.begin(), mine.end());
-  for (std::int32_t k = 0; k < steps; ++k) {
-    const std::int32_t bit = 1 << k;
-    if (rel % (bit << 1) == bit) {
-      std::vector<std::byte> outgoing;
-      for (const auto& [id, payload] : held) append_item(outgoing, id, payload);
-      node.send_block_data(static_cast<NodeId>((rel - bit + root) % n),
-                           outgoing, k);
-      return {};
-    }
-    if (rel % (bit << 1) == 0 && rel + bit < n) {
-      const machine::Message msg =
-          node.receive_block(static_cast<NodeId>((rel + bit + root) % n), k);
-      parse_items(msg.data, held);
-    }
-  }
-  CM5_CHECK(node.self() == root);
-  std::vector<std::vector<std::byte>> result(static_cast<std::size_t>(n));
-  for (auto& [id, payload] : held) {
-    result[static_cast<std::size_t>(id)] = std::move(payload);
-  }
-  return result;
+  gather_skeleton(
+      node, root,
+      [&](NodeId peer, std::int32_t k) {
+        node.send_block_data(peer, pack_all(held), k);
+      },
+      [&](NodeId peer, std::int32_t k) {
+        parse_items(node.receive_block(peer, k).data, held);
+      });
+  if (node.self() != root) return {};
+  return by_node(held, node.nprocs());
 }
 
 void scatter(Node& node, NodeId root, std::int64_t bytes) {
-  const std::int32_t n = node.nprocs();
-  CM5_CHECK_MSG(is_power_of_two(n), "scatter needs a power-of-two machine");
-  CM5_CHECK(root >= 0 && root < n);
-  const std::int32_t rel = (node.self() - root + n) % n;
-  const std::int32_t steps = log2_exact(n);
-  for (std::int32_t k = steps - 1; k >= 0; --k) {
-    const std::int32_t bit = 1 << k;
-    if (rel % (bit << 1) == 0 && rel + bit < n) {
-      node.send_block(static_cast<NodeId>((rel + bit + root) % n),
-                      bytes << k, k);
-    } else if (rel % (bit << 1) == bit) {
-      (void)node.receive_block(static_cast<NodeId>((rel - bit + root) % n), k);
-    }
-  }
+  scatter_skeleton(
+      node, root,
+      [&](NodeId peer, std::int32_t k) { node.send_block(peer, bytes << k, k); },
+      [&](NodeId peer, std::int32_t k) { (void)node.receive_block(peer, k); });
 }
 
 std::vector<std::byte> scatter_data(
     Node& node, NodeId root,
     const std::vector<std::vector<std::byte>>& blocks) {
   const std::int32_t n = node.nprocs();
-  CM5_CHECK_MSG(is_power_of_two(n), "scatter needs a power-of-two machine");
-  CM5_CHECK(root >= 0 && root < n);
-  const std::int32_t rel = (node.self() - root + n) % n;
-  const std::int32_t steps = log2_exact(n);
-
+  auto rel_of = [&](NodeId id) { return (id - root + n) % n; };
   // Blocks this node is currently responsible for, keyed by *relative* id.
-  std::map<std::int32_t, std::vector<std::byte>> held;
+  Held held;
   if (node.self() == root) {
     CM5_CHECK_MSG(blocks.size() == static_cast<std::size_t>(n),
                   "root needs one block per node");
-    for (std::int32_t id = 0; id < n; ++id) {
-      const std::int32_t r = (id - root + n) % n;
-      held[r] = blocks[static_cast<std::size_t>(id)];
+    for (NodeId id = 0; id < n; ++id) {
+      held[rel_of(id)] = blocks[static_cast<std::size_t>(id)];
     }
   }
-  for (std::int32_t k = steps - 1; k >= 0; --k) {
-    const std::int32_t bit = 1 << k;
-    if (rel % (bit << 1) == 0 && rel + bit < n) {
-      // Hand the upper half of my responsibility range to rel + bit.
-      std::vector<std::byte> outgoing;
-      for (std::int32_t r = rel + bit; r < rel + (bit << 1); ++r) {
-        const auto it = held.find(r);
-        CM5_CHECK(it != held.end());
-        append_item(outgoing, r, it->second);
-        held.erase(it);
-      }
-      node.send_block_data(static_cast<NodeId>((rel + bit + root) % n),
-                           outgoing, k);
-    } else if (rel % (bit << 1) == bit) {
-      const machine::Message msg =
-          node.receive_block(static_cast<NodeId>((rel - bit + root) % n), k);
-      parse_items(msg.data, held);
-    }
-  }
-  const auto it = held.find(rel);
+  scatter_skeleton(
+      node, root,
+      [&](NodeId peer, std::int32_t k) {
+        // The peer's range of 2^k relative ids starts at its own.
+        std::vector<std::byte> outgoing;
+        for (std::int32_t r = rel_of(peer); r < rel_of(peer) + (1 << k); ++r) {
+          const auto it = held.find(r);
+          CM5_CHECK(it != held.end());
+          append_item(outgoing, r, it->second);
+          held.erase(it);
+        }
+        node.send_block_data(peer, std::move(outgoing), k);
+      },
+      [&](NodeId peer, std::int32_t k) {
+        parse_items(node.receive_block(peer, k).data, held);
+      });
+  const auto it = held.find(rel_of(node.self()));
   CM5_CHECK_MSG(it != held.end() && held.size() == 1,
                 "scatter left the wrong residual blocks");
   return std::move(it->second);

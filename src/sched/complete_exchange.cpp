@@ -2,18 +2,25 @@
 
 #include <algorithm>
 #include <cstring>
+#include <tuple>
 
 #include "cm5/util/check.hpp"
+#include "exact_log2.hpp"
 
 namespace cm5::sched {
 namespace {
 
-bool is_power_of_two(std::int32_t n) { return n > 0 && (n & (n - 1)) == 0; }
+/// PEX's partner in step j (Figure 2: self XOR j), or BEX's: the same
+/// pairing on Figure 4's virtual numbers, virtual = physical + 1 mod N.
+NodeId xor_peer(NodeId self, std::int32_t n, std::int32_t j, bool balanced) {
+  if (!balanced) return self ^ j;
+  return ((((self + 1) % n) ^ j) - 1 + n) % n;
+}
 
-std::int32_t log2_exact(std::int32_t n) {
-  std::int32_t l = 0;
-  while ((1 << l) < n) ++l;
-  return l;
+/// REX's partner in step i (Figure 3): the group size k = N >> i halves
+/// every step and the partner differs in bit k/2, high bit first.
+NodeId rex_peer(NodeId self, std::int32_t n, std::int32_t i) {
+  return self ^ (n >> (i + 1));
 }
 
 /// Uniform access to per-destination blocks: real vectors or phantom
@@ -62,14 +69,10 @@ void linear_exchange_impl(Node& node, const Blocks& blocks) {
 
 void xor_exchange_impl(Node& node, const Blocks& blocks, bool balanced) {
   const std::int32_t n = node.nprocs();
-  CM5_CHECK_MSG(is_power_of_two(n),
-                "pairwise/balanced exchange need a power-of-two machine");
+  (void)exact_log2(n, "pairwise/balanced exchange need a power-of-two machine");
   const NodeId self = node.self();
-  // Figure 4's virtual numbering; identity mapping reproduces Figure 2.
-  const std::int32_t virt = balanced ? (self + 1) % n : self;
   for (std::int32_t j = 1; j < n; ++j) {
-    std::int32_t peer = virt ^ j;
-    if (balanced) peer = (peer - 1 + n) % n;
+    const NodeId peer = xor_peer(self, n, j, balanced);
     // Figure 2: the lower *physical* number receives first.
     if (self < peer) {
       blocks.recv(node, peer, j);
@@ -81,60 +84,66 @@ void xor_exchange_impl(Node& node, const Blocks& blocks, bool balanced) {
   }
 }
 
+/// REX's sequence (Figure 3): lg N steps, tag i. `split(bit)` opens
+/// step i (`bit` is the address bit the step settles); then, within each
+/// pair, the lower number packs and sends first and the higher receives
+/// first. The phantom and data forms supply the three bodies.
+template <typename Split, typename Send, typename Recv>
+void rex_skeleton(Node& node, Split&& split, Send&& send, Recv&& recv) {
+  const std::int32_t n = node.nprocs();
+  const std::int32_t steps =
+      exact_log2(n, "recursive exchange needs a power-of-two machine");
+  const NodeId self = node.self();
+  for (std::int32_t i = 0; i < steps; ++i) {
+    const NodeId peer = rex_peer(self, n, i);
+    split(self ^ peer);
+    if (self < peer) {
+      send(peer, i);
+      recv(peer, i);
+    } else {
+      recv(peer, i);
+      send(peer, i);
+    }
+  }
+}
+
 /// One in-flight unit of the store-and-forward recursive exchange.
 struct RexItem {
   NodeId origin;
   NodeId dst;
-  std::vector<std::byte> payload;  // empty in phantom mode
+  std::vector<std::byte> payload;
 };
 
-/// Serialized size of one item: origin + dst headers plus the payload.
-/// Store-and-forward needs the address information on the wire; the
-/// paper's n*N/2 counts only payload, so REX's messages here are
-/// (n+8)*N/2 — an 8-byte-per-item fidelity cost we accept in data mode.
-/// Phantom mode (used by all timing benches) counts payload only,
-/// matching the paper's accounting exactly.
-std::int64_t item_wire_size(std::int64_t payload_bytes, bool phantom) {
-  return phantom
-             ? payload_bytes
-             : payload_bytes + static_cast<std::int64_t>(2 * sizeof(std::int32_t));
-}
+/// Store-and-forward needs the address information on the wire: each
+/// data-form item carries an 8-byte (origin, dst) header, so REX's data
+/// messages are (n+8)*N/2 bytes where the paper's n*N/2 counts payload
+/// only. The phantom form (used by all timing benches) counts payload
+/// only, matching the paper's accounting exactly.
+constexpr std::int64_t kRexHeaderBytes = 2 * sizeof(std::int32_t);
 
 void recursive_exchange_impl(Node& node, const Blocks& blocks) {
   const std::int32_t n = node.nprocs();
-  CM5_CHECK_MSG(is_power_of_two(n),
-                "recursive exchange needs a power-of-two machine");
-  const NodeId self = node.self();
-  const bool phantom = blocks.phantom();
-  const std::int32_t steps = log2_exact(n);
-
-  if (phantom) {
+  if (blocks.phantom()) {
     // Complete-exchange invariant (§3.3): every node's bag holds N items
     // throughout, and exactly half move at every step, so each message is
     // n*N/2 bytes — the paper's formula. No per-item tracking needed.
+    // Pack before sending, unpack after receiving.
     const std::int64_t message_bytes = blocks.bytes * (n / 2);
-    for (std::int32_t i = 0; i < steps; ++i) {
-      const std::int32_t k = n >> i;
-      const std::int32_t bit = k / 2;
-      const NodeId peer = ((self % k) < bit) ? self + bit : self - bit;
-      // Figure 3: lower number packs and sends first; higher receives
-      // first. Pack before sending, unpack after receiving.
-      if (self < peer) {
-        node.compute_copy_bytes(message_bytes);
-        node.send_block(peer, message_bytes, i);
-        (void)node.receive_block(peer, i);
-        node.compute_copy_bytes(message_bytes);
-      } else {
-        (void)node.receive_block(peer, i);
-        node.compute_copy_bytes(message_bytes);
-        node.compute_copy_bytes(message_bytes);
-        node.send_block(peer, message_bytes, i);
-      }
-    }
+    rex_skeleton(
+        node, [](std::int32_t) {},
+        [&](NodeId peer, std::int32_t i) {
+          node.compute_copy_bytes(message_bytes);
+          node.send_block(peer, message_bytes, i);
+        },
+        [&](NodeId peer, std::int32_t i) {
+          (void)node.receive_block(peer, i);
+          node.compute_copy_bytes(message_bytes);
+        });
     return;
   }
 
   // The bag: everything currently stored here, keyed by final destination.
+  const NodeId self = node.self();
   std::vector<RexItem> bag;
   bag.reserve(static_cast<std::size_t>(n));
   for (NodeId d = 0; d < n; ++d) {
@@ -144,14 +153,11 @@ void recursive_exchange_impl(Node& node, const Blocks& blocks) {
     bag.push_back(std::move(item));
   }
 
-  // Figure 3: k halves every step; partner differs in bit k/2 (high bit
-  // first). Items whose destination lies in the partner's half move.
-  for (std::int32_t i = 0; i < steps; ++i) {
-    const std::int32_t k = n >> i;
-    const std::int32_t bit = k / 2;
-    const NodeId peer = ((self % k) < bit) ? self + bit : self - bit;
-
-    std::vector<RexItem> keep, move;
+  // Items whose destination lies in the partner's half move this step.
+  std::vector<RexItem> move;
+  auto split = [&](std::int32_t bit) {
+    std::vector<RexItem> keep;
+    move.clear();
     for (RexItem& item : bag) {
       if ((item.dst & bit) != (self & bit)) {
         move.push_back(std::move(item));
@@ -160,62 +166,49 @@ void recursive_exchange_impl(Node& node, const Blocks& blocks) {
       }
     }
     bag = std::move(keep);
-
     // Stable wire order so the receiver can deserialize.
     std::sort(move.begin(), move.end(), [](const RexItem& a, const RexItem& b) {
       return std::tie(a.origin, a.dst) < std::tie(b.origin, b.dst);
     });
-    const std::int64_t out_bytes =
-        static_cast<std::int64_t>(move.size()) *
-        item_wire_size(blocks.bytes, /*phantom=*/false);
-
-    auto pack_and_send = [&] {
-      // Reshuffle cost (§3.3): gather the moving items into one buffer.
-      node.compute_copy_bytes(out_bytes);
-      std::vector<std::byte> buffer;
-      buffer.reserve(static_cast<std::size_t>(out_bytes));
-      for (const RexItem& item : move) {
-        std::int32_t header[2] = {item.origin, item.dst};
-        const auto* raw = reinterpret_cast<const std::byte*>(header);
-        buffer.insert(buffer.end(), raw, raw + sizeof header);
-        buffer.insert(buffer.end(), item.payload.begin(), item.payload.end());
-      }
-      node.send_block_data(peer, std::move(buffer), i);
-    };
-    auto recv_and_unpack = [&] {
-      const machine::Message msg = node.receive_block(peer, i);
-      node.compute_copy_bytes(msg.size);
-      std::size_t offset = 0;
-      while (offset < msg.data.size()) {
-        std::int32_t header[2];
-        std::memcpy(header, msg.data.data() + offset, sizeof header);
-        offset += sizeof header;
-        RexItem item{header[0], header[1], {}};
-        item.payload.assign(
-            msg.data.begin() + static_cast<std::ptrdiff_t>(offset),
-            msg.data.begin() + static_cast<std::ptrdiff_t>(
-                                   offset + static_cast<std::size_t>(blocks.bytes)));
-        offset += static_cast<std::size_t>(blocks.bytes);
-        bag.push_back(std::move(item));
-      }
-    };
-
-    // Figure 3: lower number packs and sends first; higher receives first.
-    if (self < peer) {
-      pack_and_send();
-      recv_and_unpack();
-    } else {
-      recv_and_unpack();
-      pack_and_send();
+  };
+  auto pack_and_send = [&](NodeId peer, std::int32_t i) {
+    const std::int64_t out_bytes = static_cast<std::int64_t>(move.size()) *
+                                   (blocks.bytes + kRexHeaderBytes);
+    // Reshuffle cost (§3.3): gather the moving items into one buffer.
+    node.compute_copy_bytes(out_bytes);
+    std::vector<std::byte> buffer;
+    buffer.reserve(static_cast<std::size_t>(out_bytes));
+    for (const RexItem& item : move) {
+      std::int32_t header[2] = {item.origin, item.dst};
+      const auto* raw = reinterpret_cast<const std::byte*>(header);
+      buffer.insert(buffer.end(), raw, raw + sizeof header);
+      buffer.insert(buffer.end(), item.payload.begin(), item.payload.end());
     }
-  }
-
-  if (!phantom) {
-    for (RexItem& item : bag) {
-      CM5_CHECK_MSG(item.dst == self, "REX item ended at the wrong node");
-      (*blocks.in)[static_cast<std::size_t>(item.origin)] =
-          std::move(item.payload);
+    node.send_block_data(peer, std::move(buffer), i);
+  };
+  auto recv_and_unpack = [&](NodeId peer, std::int32_t i) {
+    const machine::Message msg = node.receive_block(peer, i);
+    node.compute_copy_bytes(msg.size);
+    std::size_t offset = 0;
+    while (offset < msg.data.size()) {
+      std::int32_t header[2];
+      std::memcpy(header, msg.data.data() + offset, sizeof header);
+      offset += sizeof header;
+      RexItem item{header[0], header[1], {}};
+      item.payload.assign(
+          msg.data.begin() + static_cast<std::ptrdiff_t>(offset),
+          msg.data.begin() + static_cast<std::ptrdiff_t>(
+                                 offset + static_cast<std::size_t>(blocks.bytes)));
+      offset += static_cast<std::size_t>(blocks.bytes);
+      bag.push_back(std::move(item));
     }
+  };
+  rex_skeleton(node, split, pack_and_send, recv_and_unpack);
+
+  for (RexItem& item : bag) {
+    CM5_CHECK_MSG(item.dst == self, "REX item ended at the wrong node");
+    (*blocks.in)[static_cast<std::size_t>(item.origin)] =
+        std::move(item.payload);
   }
 }
 
@@ -279,14 +272,9 @@ namespace {
 
 void xor_exchange_swap_impl(Node& node, std::int64_t bytes, bool balanced) {
   const std::int32_t n = node.nprocs();
-  CM5_CHECK_MSG(is_power_of_two(n),
-                "pairwise/balanced exchange need a power-of-two machine");
-  const NodeId self = node.self();
-  const std::int32_t virt = balanced ? (self + 1) % n : self;
+  (void)exact_log2(n, "pairwise/balanced exchange need a power-of-two machine");
   for (std::int32_t j = 1; j < n; ++j) {
-    std::int32_t peer = virt ^ j;
-    if (balanced) peer = (peer - 1 + n) % n;
-    (void)node.swap_block(peer, bytes, j);
+    (void)node.swap_block(xor_peer(node.self(), n, j, balanced), bytes, j);
   }
 }
 
@@ -302,17 +290,12 @@ void run_balanced_exchange_swap(Node& node, std::int64_t bytes) {
 
 void run_recursive_exchange_swap(Node& node, std::int64_t bytes) {
   const std::int32_t n = node.nprocs();
-  CM5_CHECK_MSG(is_power_of_two(n),
-                "recursive exchange needs a power-of-two machine");
-  const NodeId self = node.self();
-  const std::int32_t steps = log2_exact(n);
+  const std::int32_t steps =
+      exact_log2(n, "recursive exchange needs a power-of-two machine");
   const std::int64_t message_bytes = bytes * (n / 2);
   for (std::int32_t i = 0; i < steps; ++i) {
-    const std::int32_t k = n >> i;
-    const std::int32_t bit = k / 2;
-    const NodeId peer = ((self % k) < bit) ? self + bit : self - bit;
     node.compute_copy_bytes(message_bytes);  // pack
-    (void)node.swap_block(peer, message_bytes, i);
+    (void)node.swap_block(rex_peer(node.self(), n, i), message_bytes, i);
     node.compute_copy_bytes(message_bytes);  // unpack
   }
 }

@@ -1,9 +1,7 @@
 #include "cm5/sparse/cg.hpp"
 
 #include <cmath>
-#include <cstring>
 
-#include "cm5/sched/executor.hpp"
 #include "cm5/util/check.hpp"
 
 namespace cm5::sparse {
@@ -115,63 +113,65 @@ CgResult pcg_solve(const CsrMatrix& A, std::span<const double> b,
   return result;
 }
 
-CgResult cg_solve_distributed(machine::Node& node, const CsrMatrix& A,
-                              std::span<const double> b,
-                              std::span<const mesh::PartId> vertex_part,
-                              const mesh::HaloPlan& halo,
-                              sched::Scheduler scheduler,
-                              std::int32_t max_iterations, double tol) {
-  const auto n = static_cast<std::size_t>(A.rows());
-  CM5_CHECK(b.size() == n);
-  CM5_CHECK(vertex_part.size() == n);
-  CM5_CHECK(halo.nparts() == node.nprocs());
-  const auto self = node.self();
+namespace {
 
+/// What both distributed solvers set up on each node: its owned rows,
+/// their nonzero count, the halo schedule (built once, reused every
+/// iteration) and the owned dot product.
+struct DistributedSetup {
+  machine::Node& node;
+  const mesh::HaloPlan& halo;
   std::vector<std::int32_t> owned;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (vertex_part[i] == self) owned.push_back(static_cast<std::int32_t>(i));
-  }
   std::int64_t owned_nnz = 0;
-  for (const std::int32_t r : owned) {
-    owned_nnz += static_cast<std::int64_t>(A.row_cols(r).size());
+  sched::CommSchedule schedule;
+
+  DistributedSetup(machine::Node& node_in, const CsrMatrix& A,
+                   std::span<const double> b,
+                   std::span<const mesh::PartId> vertex_part,
+                   const mesh::HaloPlan& halo_in, sched::Scheduler scheduler)
+      : node(node_in),
+        halo(halo_in),
+        schedule(sched::build_schedule(scheduler,
+                                       halo_in.pattern(sizeof(double)))) {
+    const auto n = static_cast<std::size_t>(A.rows());
+    CM5_CHECK(b.size() == n);
+    CM5_CHECK(vertex_part.size() == n);
+    CM5_CHECK(halo.nparts() == node.nprocs());
+    for (std::size_t i = 0; i < n; ++i) {
+      if (vertex_part[i] == node.self()) {
+        owned.push_back(static_cast<std::int32_t>(i));
+        owned_nnz += static_cast<std::int64_t>(
+            A.row_cols(static_cast<std::int32_t>(i)).size());
+      }
+    }
   }
 
-  // The halo exchange: one schedule, reused every iteration. `target`
-  // points at the vector whose ghosts the exchange refreshes.
-  const sched::CommSchedule schedule =
-      sched::build_schedule(scheduler, halo.pattern(sizeof(double)));
-  std::span<double> target;
-  sched::DataPlan plan;
-  plan.out = [&](machine::NodeId peer) {
-    const auto ids = halo.shared(self, peer);
-    std::vector<std::byte> payload(ids.size() * sizeof(double));
-    for (std::size_t k = 0; k < ids.size(); ++k) {
-      std::memcpy(payload.data() + k * sizeof(double),
-                  &target[static_cast<std::size_t>(ids[k])], sizeof(double));
-    }
-    return payload;
-  };
-  plan.in = [&](machine::NodeId peer, const machine::Message& msg) {
-    const auto ids = halo.shared(peer, self);
-    CM5_CHECK(msg.data.size() == ids.size() * sizeof(double));
-    for (std::size_t k = 0; k < ids.size(); ++k) {
-      std::memcpy(&target[static_cast<std::size_t>(ids[k])],
-                  msg.data.data() + k * sizeof(double), sizeof(double));
-    }
-  };
-  auto exchange_ghosts = [&](std::span<double> vec) {
-    target = vec;
-    sched::execute_schedule(node, schedule, {}, &plan);
-  };
+  /// Refreshes the ghost entries of `vec` before a matvec.
+  void exchange_ghosts(std::span<double> vec) {
+    halo.exchange(node, schedule, vec);
+  }
 
-  auto owned_dot = [&](std::span<const double> u, std::span<const double> v) {
+  double owned_dot(std::span<const double> u, std::span<const double> v) {
     double sum = 0.0;
     for (const std::int32_t i : owned) {
       sum += u[static_cast<std::size_t>(i)] * v[static_cast<std::size_t>(i)];
     }
     // Control-network reduction (paper §2: global ops).
     return node.reduce_sum(sum);
-  };
+  }
+};
+
+}  // namespace
+
+CgResult cg_solve_distributed(machine::Node& node, const CsrMatrix& A,
+                              std::span<const double> b,
+                              std::span<const mesh::PartId> vertex_part,
+                              const mesh::HaloPlan& halo,
+                              sched::Scheduler scheduler,
+                              std::int32_t max_iterations, double tol) {
+  DistributedSetup setup(node, A, b, vertex_part, halo, scheduler);
+  const auto& owned = setup.owned;
+  const auto n = static_cast<std::size_t>(A.rows());
 
   CgResult result;
   result.x.assign(n, 0.0);
@@ -181,8 +181,8 @@ CgResult cg_solve_distributed(machine::Node& node, const CsrMatrix& A,
     p[static_cast<std::size_t>(i)] = b[static_cast<std::size_t>(i)];
   }
 
-  double rr = owned_dot(r, r);
-  const double b_norm = std::sqrt(owned_dot(b, b));
+  double rr = setup.owned_dot(r, r);
+  const double b_norm = std::sqrt(setup.owned_dot(b, b));
   const double threshold = tol * (b_norm > 0.0 ? b_norm : 1.0);
 
   for (std::int32_t iter = 0; iter < max_iterations; ++iter) {
@@ -190,19 +190,19 @@ CgResult cg_solve_distributed(machine::Node& node, const CsrMatrix& A,
       result.converged = true;
       break;
     }
-    exchange_ghosts(p);
+    setup.exchange_ghosts(p);
     A.multiply_rows(owned, p, ap);
     // 2 flops per nonzero (multiply-add) plus the vector updates below.
-    node.compute_flops(2.0 * static_cast<double>(owned_nnz) +
+    node.compute_flops(2.0 * static_cast<double>(setup.owned_nnz) +
                        10.0 * static_cast<double>(owned.size()));
-    const double pap = owned_dot(p, ap);
+    const double pap = setup.owned_dot(p, ap);
     CM5_CHECK_MSG(pap > 0.0, "matrix is not positive definite");
     const double alpha = rr / pap;
     for (const std::int32_t i : owned) {
       result.x[static_cast<std::size_t>(i)] += alpha * p[static_cast<std::size_t>(i)];
       r[static_cast<std::size_t>(i)] -= alpha * ap[static_cast<std::size_t>(i)];
     }
-    const double rr_new = owned_dot(r, r);
+    const double rr_new = setup.owned_dot(r, r);
     const double beta = rr_new / rr;
     for (const std::int32_t i : owned) {
       p[static_cast<std::size_t>(i)] =
@@ -223,22 +223,14 @@ CgResult pcg_solve_distributed(machine::Node& node, const CsrMatrix& A,
                                const mesh::HaloPlan& halo,
                                sched::Scheduler scheduler,
                                std::int32_t max_iterations, double tol) {
+  DistributedSetup setup(node, A, b, vertex_part, halo, scheduler);
+  const auto& owned = setup.owned;
   const auto n = static_cast<std::size_t>(A.rows());
-  CM5_CHECK(b.size() == n);
-  CM5_CHECK(vertex_part.size() == n);
-  CM5_CHECK(halo.nparts() == node.nprocs());
-  const auto self = node.self();
 
-  std::vector<std::int32_t> owned;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (vertex_part[i] == self) owned.push_back(static_cast<std::int32_t>(i));
-  }
-  std::int64_t owned_nnz = 0;
   std::vector<double> inv_diag(n, 0.0);
   for (const std::int32_t r : owned) {
     const auto cols = A.row_cols(r);
     const auto vals = A.row_vals(r);
-    owned_nnz += static_cast<std::int64_t>(cols.size());
     for (std::size_t k = 0; k < cols.size(); ++k) {
       if (cols[k] == r) {
         CM5_CHECK_MSG(vals[k] > 0.0, "SPD matrix must have positive diagonal");
@@ -249,39 +241,6 @@ CgResult pcg_solve_distributed(machine::Node& node, const CsrMatrix& A,
                   "matrix row has no diagonal entry");
   }
 
-  const sched::CommSchedule schedule =
-      sched::build_schedule(scheduler, halo.pattern(sizeof(double)));
-  std::span<double> target;
-  sched::DataPlan plan;
-  plan.out = [&](machine::NodeId peer) {
-    const auto ids = halo.shared(self, peer);
-    std::vector<std::byte> payload(ids.size() * sizeof(double));
-    for (std::size_t k = 0; k < ids.size(); ++k) {
-      std::memcpy(payload.data() + k * sizeof(double),
-                  &target[static_cast<std::size_t>(ids[k])], sizeof(double));
-    }
-    return payload;
-  };
-  plan.in = [&](machine::NodeId peer, const machine::Message& msg) {
-    const auto ids = halo.shared(peer, self);
-    CM5_CHECK(msg.data.size() == ids.size() * sizeof(double));
-    for (std::size_t k = 0; k < ids.size(); ++k) {
-      std::memcpy(&target[static_cast<std::size_t>(ids[k])],
-                  msg.data.data() + k * sizeof(double), sizeof(double));
-    }
-  };
-  auto exchange_ghosts = [&](std::span<double> vec) {
-    target = vec;
-    sched::execute_schedule(node, schedule, {}, &plan);
-  };
-  auto owned_dot = [&](std::span<const double> u, std::span<const double> v) {
-    double sum = 0.0;
-    for (const std::int32_t i : owned) {
-      sum += u[static_cast<std::size_t>(i)] * v[static_cast<std::size_t>(i)];
-    }
-    return node.reduce_sum(sum);
-  };
-
   CgResult result;
   result.x.assign(n, 0.0);
   std::vector<double> r(n, 0.0), z(n, 0.0), p(n, 0.0), ap(n, 0.0);
@@ -291,9 +250,9 @@ CgResult pcg_solve_distributed(machine::Node& node, const CsrMatrix& A,
     z[ui] = inv_diag[ui] * r[ui];
     p[ui] = z[ui];
   }
-  double rz = owned_dot(r, z);
-  double rr = owned_dot(r, r);
-  const double b_norm = std::sqrt(owned_dot(b, b));
+  double rz = setup.owned_dot(r, z);
+  double rr = setup.owned_dot(r, r);
+  const double b_norm = std::sqrt(setup.owned_dot(b, b));
   const double threshold = tol * (b_norm > 0.0 ? b_norm : 1.0);
 
   for (std::int32_t iter = 0; iter < max_iterations; ++iter) {
@@ -301,11 +260,11 @@ CgResult pcg_solve_distributed(machine::Node& node, const CsrMatrix& A,
       result.converged = true;
       break;
     }
-    exchange_ghosts(p);
+    setup.exchange_ghosts(p);
     A.multiply_rows(owned, p, ap);
-    node.compute_flops(2.0 * static_cast<double>(owned_nnz) +
+    node.compute_flops(2.0 * static_cast<double>(setup.owned_nnz) +
                        12.0 * static_cast<double>(owned.size()));
-    const double pap = owned_dot(p, ap);
+    const double pap = setup.owned_dot(p, ap);
     CM5_CHECK_MSG(pap > 0.0, "matrix is not positive definite");
     const double alpha = rz / pap;
     for (const std::int32_t i : owned) {
@@ -314,14 +273,14 @@ CgResult pcg_solve_distributed(machine::Node& node, const CsrMatrix& A,
       r[ui] -= alpha * ap[ui];
       z[ui] = inv_diag[ui] * r[ui];
     }
-    const double rz_new = owned_dot(r, z);
+    const double rz_new = setup.owned_dot(r, z);
     const double beta = rz_new / rz;
     for (const std::int32_t i : owned) {
       const auto ui = static_cast<std::size_t>(i);
       p[ui] = z[ui] + beta * p[ui];
     }
     rz = rz_new;
-    rr = owned_dot(r, r);
+    rr = setup.owned_dot(r, r);
     ++result.iterations;
   }
   result.converged = result.converged || std::sqrt(rr) <= threshold;

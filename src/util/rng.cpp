@@ -33,8 +33,8 @@ std::uint64_t Rng::next_below(std::uint64_t bound) noexcept {
   if (bound == 0) return 0;
   while (true) {
     const std::uint64_t x = next_u64();
-    const unsigned __int128 m =
-        static_cast<unsigned __int128>(x) * static_cast<unsigned __int128>(bound);
+    __extension__ typedef unsigned __int128 U128;  // GCC/Clang extension
+    const U128 m = static_cast<U128>(x) * static_cast<U128>(bound);
     const std::uint64_t low = static_cast<std::uint64_t>(m);
     if (low >= bound || low >= (0 - bound) % bound) {
       return static_cast<std::uint64_t>(m >> 64);

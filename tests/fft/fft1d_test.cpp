@@ -10,6 +10,7 @@
 #include "cm5/machine/machine.hpp"
 #include "cm5/util/check.hpp"
 #include "cm5/util/rng.hpp"
+#include "dft_reference.hpp"
 
 namespace cm5::fft {
 namespace {

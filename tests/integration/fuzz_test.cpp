@@ -571,6 +571,55 @@ TEST_P(FuzzTest, StreamingAnalysisMatchesBatchOnFaultyRuns) {
   }
 }
 
+TEST_P(FuzzTest, StreamingAnalysisMatchesBatchAfterTimedOutReceives) {
+  // 8 faulty cases per seed whose programs compute after a timed-out
+  // receive. An even node posts an async send to its odd partner, lets a
+  // timed receive on an unused tag expire, then blocks draining the send
+  // — a wait that posts no trace event — until the partner, still
+  // computing, takes the message; only then does it compute. So each
+  // WaitTimeout is followed by a gap before the node's next action, and
+  // the analysis must end the receive wait at the timeout. Delay faults
+  // stretch the drains.
+  const std::uint64_t seed = GetParam();
+  for (int variant = 0; variant < 8; ++variant) {
+    util::Rng shape(seed * 5003 + static_cast<std::uint64_t>(variant) * 17);
+    const auto nprocs = static_cast<std::int32_t>(2 << shape.next_in(1, 3));
+    const auto rounds = static_cast<int>(shape.next_in(2, 6));
+    sim::FaultPlan plan;
+    plan.seed = seed * 97 + static_cast<std::uint64_t>(variant);
+    plan.delay_prob = 0.3;
+    plan.delay = util::from_us(shape.next_in(10, 200));
+
+    Cm5Machine m(MachineParams::cm5_defaults(nprocs));
+    m.set_fault_plan(plan);
+    sim::TraceRecorder recorder;
+    const auto program = [&](Node& node) {
+      util::Rng rng = util::Rng::forked(
+          plan.seed, static_cast<std::uint64_t>(node.self()));
+      const auto partner = static_cast<machine::NodeId>(node.self() ^ 1);
+      for (int round = 0; round < rounds; ++round) {
+        if (node.self() % 2 == 0) {
+          node.send_async(partner, rng.next_in(0, 512), round);
+          // At most 50 us: the partner computes at least 100 us first.
+          EXPECT_FALSE(node.receive_timeout(
+              partner, 9999, util::from_us(rng.next_in(5, 50))));
+          node.wait_sends();
+          node.compute(util::from_us(rng.next_in(1, 40)));
+        } else {
+          node.compute(util::from_us(rng.next_in(100, 400)));
+          (void)node.receive_block(partner, round);
+        }
+      }
+    };
+    const sim::RunResult result = m.run_traced(program, recorder.sink());
+    ASSERT_GT(recorder.count(sim::TraceEvent::Kind::WaitTimeout), 0);
+    sim::expect_streaming_matches_batch(
+        recorder.events(), nprocs, &result,
+        "seed " + std::to_string(seed) + " timed-out " +
+            std::to_string(variant));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
                                            12));

@@ -5,6 +5,7 @@
 #include "cm5/mesh/halo.hpp"
 #include "cm5/mesh/partition.hpp"
 #include "cm5/util/check.hpp"
+#include "delaunay_check.hpp"
 #include "mesh_quality.hpp"
 
 namespace cm5::mesh {

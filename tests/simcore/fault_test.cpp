@@ -303,7 +303,7 @@ TEST(TimedWaitTest, TryBarrierTimesOutOnStragglerThenSucceedsOnRetry) {
     }
   });
   EXPECT_EQ(false_returns[0], 0);  // straggler never times out
-  for (int i = 1; i < 4; ++i) EXPECT_GT(false_returns[i], 0);
+  for (std::size_t i = 1; i < 4; ++i) EXPECT_GT(false_returns[i], 0);
 }
 
 // ---------------------------------------------------------------------------

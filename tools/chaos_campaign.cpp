@@ -268,8 +268,9 @@ int run_repro(const Options& opt) {
 
 int run_campaign(const Options& opt) {
   const int jobs =
-      opt.jobs > 0 ? opt.jobs
-                   : std::max(1u, std::thread::hardware_concurrency());
+      opt.jobs > 0
+          ? opt.jobs
+          : static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
   std::printf("chaos campaign: %lld runs, %d nodes, seed %llu, %d jobs, "
               "%s timeouts%s\n",
               static_cast<long long>(opt.runs), opt.nodes,
