@@ -154,7 +154,21 @@ BENCHMARK(BM_ExchangeStepDrain)->Arg(32)->Arg(256);
 }  // namespace
 
 /// One 32-node Greedy run of a Table 11 pattern (50 % density, 512 B,
-/// barrier per step), recorded once and shared by every replay.
+/// barrier per step): an irregular-sweep cell.
+constexpr std::int32_t kIrregularNodes = 32;
+
+machine::Program greedy_program() {
+  static const sched::CommSchedule schedule = sched::build_schedule(
+      sched::Scheduler::Greedy,
+      patterns::exact_density(kIrregularNodes, 0.5, 512, 11));
+  return [](machine::Node& node) {
+    sched::ExecutorOptions options;
+    options.barrier_per_step = true;
+    sched::execute_schedule(node, schedule, options);
+  };
+}
+
+/// The Greedy run, recorded once and shared by every replay.
 struct RecordedRun {
   std::vector<sim::TraceEvent> events;
   sim::RunResult result;
@@ -162,32 +176,38 @@ struct RecordedRun {
 
 const RecordedRun& greedy_run() {
   static const RecordedRun run = [] {
-    constexpr std::int32_t kNodes = 32;
-    const sched::CommSchedule schedule = sched::build_schedule(
-        sched::Scheduler::Greedy,
-        patterns::exact_density(kNodes, 0.5, 512, 11));
-    sched::ExecutorOptions options;
-    options.barrier_per_step = true;
-    machine::Cm5Machine machine(machine::MachineParams::cm5_defaults(kNodes));
+    machine::Cm5Machine machine(
+        machine::MachineParams::cm5_defaults(kIrregularNodes));
     sim::TraceRecorder recorder;
     RecordedRun out;
-    out.result = machine.run_traced(
-        [&](machine::Node& node) {
-          sched::execute_schedule(node, schedule, options);
-        },
-        recorder.sink());
+    out.result = machine.run_traced(greedy_program(), recorder.sink());
     out.events = recorder.events();
     return out;
   }();
   return run;
 }
 
+/// The Greedy run end to end through Cm5Machine::run_observed on a warm
+/// machine: executor, kernel, network and both trace consumers together
+/// (BM_AnalyzeTrace times the consumers alone).
+void BM_ObservedIrregularRun(benchmark::State& state) {
+  machine::Cm5Machine machine(
+      machine::MachineParams::cm5_defaults(kIrregularNodes));
+  const machine::Program program = greedy_program();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(machine.run_observed(program));
+  }
+  const auto events = static_cast<std::int64_t>(greedy_run().events.size());
+  state.SetItemsProcessed(state.iterations() * events);
+}
+BENCHMARK(BM_ObservedIrregularRun);
+
 /// One MetricsBuilder (validator:0) or TraceValidator (validator:1)
 /// replay of the recorded run, from construction through finalize: the
 /// per-run analysis cost of an irregular-sweep cell.
 void BM_AnalyzeTrace(benchmark::State& state) {
   const RecordedRun& run = greedy_run();
-  const std::int32_t nprocs = 32;
+  const std::int32_t nprocs = kIrregularNodes;
   const bool validator = state.range(0) != 0;
   for (auto _ : state) {
     if (validator) {

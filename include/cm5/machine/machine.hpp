@@ -103,8 +103,9 @@ class Node {
   bool try_barrier(util::SimDuration timeout);
   /// Raw control-network concatenation of per-node byte strings (dead
   /// nodes contribute nothing). Charged like a barrier. The resilient
-  /// executor's agreement primitive.
-  std::vector<std::byte> global_concat(std::span<const std::byte> data);
+  /// executor's agreement primitive. The view stays valid until this
+  /// node's next control-network operation (NodeHandle::global_op).
+  std::span<const std::byte> global_concat(std::span<const std::byte> data);
   /// Global sum; every node receives the total.
   double reduce_sum(double x);
   std::int64_t reduce_sum_i64(std::int64_t x);

@@ -88,8 +88,9 @@ class FluidNetwork {
   std::optional<util::SimTime> next_event();
 
   /// Advances the fluid state to time t (>= last time seen) and returns
-  /// the flows that completed, in (completion_time, FlowId) order.
-  std::vector<FlowId> advance_to(util::SimTime t);
+  /// the flows that completed, in (completion_time, FlowId) order, as a
+  /// view of a reused buffer that the next advance_to call overwrites.
+  std::span<const FlowId> advance_to(util::SimTime t);
 
   /// Number of currently active flows.
   std::size_t active_flows() const noexcept { return flows_.size(); }
@@ -168,6 +169,7 @@ class FluidNetwork {
   std::vector<double> fill_shares_;
   std::vector<std::uint32_t> link_pos_;
   std::vector<std::uint32_t> fill_flows_;  // per-round unfrozen worklist
+  std::vector<FlowId> done_;  // advance_to's result, reused across calls
 
   /// Memoized next_event() answer: the kernel peeks the next completion
   /// on every scheduling iteration, but the answer can only change when

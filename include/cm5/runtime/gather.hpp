@@ -79,9 +79,10 @@ class GatherPlan {
 
  private:
   BlockDistribution distribution_;
-  sched::Scheduler scheduler_;
   sched::CommPattern data_pattern_;
   sched::CommSchedule data_schedule_;
+  // The request exchange's schedule; scatter_add's pattern is the same.
+  sched::CommSchedule scatter_schedule_;
 
   // Per peer p: sorted global indices this node must *send* values for
   // (p requested them), and the local offsets to read from.

@@ -35,12 +35,13 @@ struct ExecutorOptions {
   std::int32_t tag_base = 1000;
 };
 
-/// Processor `self`'s operations in step `step`, sorted into the
-/// executor's canonical deadlock-free order (exchanges and one-way ops
-/// by a shared endpoint key). Exposed so alternative executors (e.g.
-/// the resilient one) replay the exact same op order.
-std::vector<Op> ordered_ops(const CommSchedule& schedule, std::int32_t step,
-                            NodeId self);
+/// Fills `out` (caller-owned, so one buffer serves a run) with processor
+/// `self`'s operations in step `step`, sorted into the executor's
+/// canonical deadlock-free order (exchanges and one-way ops by a shared
+/// endpoint key). Exposed so alternative executors (e.g. the resilient
+/// one) replay the exact same op order.
+void ordered_ops(const CommSchedule& schedule, std::int32_t step, NodeId self,
+                 std::vector<Op>& out);
 
 /// Executes this node's part of `schedule`. Every node of the machine
 /// must call this with the same schedule and options.

@@ -160,10 +160,13 @@ class NodeHandle {
   /// Blocks until every node has called it; all nodes resume at
   /// max(arrival times) + duration. Returns the concatenation of all
   /// nodes' contributions in node order (so reductions sum the pieces,
-  /// broadcasts have only the root contribute). Every global op across
-  /// nodes must execute in the same order — mismatches deadlock.
-  std::vector<std::byte> global_op(std::span<const std::byte> contribution,
-                                   util::SimDuration duration);
+  /// broadcasts have only the root contribute) as a view of one buffer
+  /// all nodes share. It stays valid until this node's next global op or
+  /// try_barrier, since no op completes before every live node joined it
+  /// (contributions are copied on entry). Every global op across nodes
+  /// must execute in the same order — mismatches deadlock.
+  std::span<const std::byte> global_op(std::span<const std::byte> contribution,
+                                       util::SimDuration duration);
 
  private:
   friend class Kernel;
@@ -360,7 +363,6 @@ class Kernel {
     bool peer_failed = false; ///< current wake means the peer died
     std::int64_t wait_generation = 0;  ///< bumped at each timed-wait arm
     std::optional<util::SimTime> gop_deadline;  ///< try_barrier deadline
-    std::vector<std::byte> gop_result;  ///< this node's copy of the result
     NodeCounters counters;
   };
 
@@ -456,6 +458,7 @@ class Kernel {
     util::SimDuration duration = 0;
     std::vector<std::vector<std::byte>> contributions;
     std::vector<bool> waiting;
+    std::vector<std::byte> result;  ///< last op's result, read by all nodes
   } gop_;
 
   TraceSink trace_;

@@ -197,8 +197,8 @@ RunMetrics analyze(const TraceRecorder& recorder, std::int32_t nprocs,
 /// tags/links), not O(events).
 ///
 /// Exactness over out-of-order streams: per-step/per-link aggregates
-/// are order-independent (hash-map state, deterministically sorted at
-/// finalize); the contention sweep relies on the kernel's commit-order
+/// are order-independent (steps kept in tag order, links put in
+/// (src, dst) order at finalize); the contention sweep relies on the kernel's commit-order
 /// guarantee that TransferComplete times are globally non-decreasing
 /// and no later event carries an earlier time (the conservative DES
 /// frontier), buffering only not-yet-completed posts per receiver.

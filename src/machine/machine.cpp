@@ -142,7 +142,8 @@ bool Node::try_barrier(util::SimDuration timeout) {
   return handle_.try_barrier(timeout, params_->ctl_latency);
 }
 
-std::vector<std::byte> Node::global_concat(std::span<const std::byte> data) {
+std::span<const std::byte> Node::global_concat(
+    std::span<const std::byte> data) {
   return handle_.global_op(data, params_->ctl_latency);
 }
 
@@ -156,7 +157,7 @@ T fold_global(sim::NodeHandle& handle, util::SimDuration latency, T x, T acc,
               Fold fold) {
   std::array<std::byte, sizeof(T)> buf;
   std::memcpy(buf.data(), &x, sizeof(T));
-  const std::vector<std::byte> all = handle.global_op(buf, latency);
+  const std::span<const std::byte> all = handle.global_op(buf, latency);
   CM5_CHECK(all.size() ==
             sizeof(T) * static_cast<std::size_t>(handle.nprocs()));
   for (std::size_t off = 0; off < all.size(); off += sizeof(T)) {
@@ -201,7 +202,8 @@ std::vector<std::byte> Node::broadcast_data(NodeId root,
   // contributions is therefore exactly the root's data.
   const std::span<const std::byte> contribution =
       self() == root ? data : std::span<const std::byte>{};
-  return handle_.global_op(contribution, cost);
+  const std::span<const std::byte> all = handle_.global_op(contribution, cost);
+  return {all.begin(), all.end()};
 }
 
 void Node::broadcast_phantom(NodeId root, std::int64_t bytes) {

@@ -254,25 +254,25 @@ std::optional<util::SimTime> FluidNetwork::next_event() {
   return next_cache_;
 }
 
-std::vector<FlowId> FluidNetwork::advance_to(util::SimTime t) {
+std::span<const FlowId> FluidNetwork::advance_to(util::SimTime t) {
   CM5_CHECK_MSG(t >= now_, "time must not go backwards");
   resolve_rates();
   progress_to(t);
 
   // A stable erase over the FlowId-ordered vector: the done ids come out
   // sorted and the survivors keep their order.
-  std::vector<FlowId> done;
-  std::erase_if(flows_, [this, &done](const Flow& f) {
+  done_.clear();
+  std::erase_if(flows_, [this](const Flow& f) {
     if (f.bytes_remaining > kDoneEpsilonBytes) return false;
-    done.push_back(f.id);
+    done_.push_back(f.id);
     for (LinkId l : f.route()) --flows_on_link_[static_cast<std::size_t>(l)];
     return true;
   });
-  if (!done.empty()) {
-    stats_.flows_completed += static_cast<std::int64_t>(done.size());
+  if (!done_.empty()) {
+    stats_.flows_completed += static_cast<std::int64_t>(done_.size());
     rates_dirty_ = true;
   }
-  return done;
+  return done_;
 }
 
 double FluidNetwork::flow_rate(FlowId id) {

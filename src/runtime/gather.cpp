@@ -104,9 +104,9 @@ GatherPlan::GatherPlan(Node& node, const BlockDistribution& distribution,
                        std::span<const std::int64_t> needed,
                        sched::Scheduler scheduler)
     : distribution_(distribution),
-      scheduler_(scheduler),
       data_pattern_(node.nprocs()),
-      data_schedule_(node.nprocs()) {
+      data_schedule_(node.nprocs()),
+      scatter_schedule_(node.nprocs()) {
   const std::int32_t n = node.nprocs();
   CM5_CHECK(distribution.nprocs == n);
   const NodeId self = node.self();
@@ -162,9 +162,11 @@ GatherPlan::GatherPlan(Node& node, const BlockDistribution& distribution,
     }
   }
 
+  // scatter_add sends back one double per requested index, as many bytes
+  // as the index: the request pattern is its pattern, and so is the schedule.
+  static_assert(sizeof(double) == sizeof(std::int64_t));
   send_offsets_.assign(static_cast<std::size_t>(n), {});
-  const sched::CommSchedule request_schedule =
-      sched::build_schedule(scheduler_, request_pattern);
+  scatter_schedule_ = sched::build_schedule(scheduler, request_pattern);
   sched::DataPlan request_plan;
   request_plan.out = [&](NodeId peer) {
     return pack_i64(request_lists[static_cast<std::size_t>(peer)]);
@@ -177,9 +179,9 @@ GatherPlan::GatherPlan(Node& node, const BlockDistribution& distribution,
           distribution_.local_offset(g));
     }
   };
-  sched::execute_schedule(node, request_schedule, {}, &request_plan);
+  sched::execute_schedule(node, scatter_schedule_, {}, &request_plan);
 
-  data_schedule_ = sched::build_schedule(scheduler_, data_pattern_);
+  data_schedule_ = sched::build_schedule(scheduler, data_pattern_);
 }
 
 void GatherPlan::gather(Node& node, std::span<const double> local_owned,
@@ -230,20 +232,6 @@ void GatherPlan::scatter_add(Node& node,
     }
   }
 
-  // The scatter moves the same element counts as the gather, in the
-  // opposite direction — which is exactly the request pattern's shape,
-  // with doubles instead of indices. Rebuild it from stored state.
-  sched::CommPattern reverse(n);
-  for (NodeId src = 0; src < n; ++src) {
-    for (NodeId dst = 0; dst < n; ++dst) {
-      if (src == dst) continue;
-      const std::int64_t bytes = data_pattern_.at(dst, src);  // transpose
-      if (bytes > 0) reverse.set(src, dst, bytes);
-    }
-  }
-  const sched::CommSchedule schedule =
-      sched::build_schedule(scheduler_, reverse);
-
   sched::DataPlan plan;
   plan.out = [&](NodeId peer) {
     const auto& sums = combined[static_cast<std::size_t>(peer)];
@@ -260,7 +248,7 @@ void GatherPlan::scatter_add(Node& node,
       local_owned[static_cast<std::size_t>(offsets[k])] += value;
     }
   };
-  sched::execute_schedule(node, schedule, {}, &plan);
+  sched::execute_schedule(node, scatter_schedule_, {}, &plan);
 
   for (const auto& [pos, offset] : local_positions_) {
     local_owned[static_cast<std::size_t>(offset)] += contributions[pos];

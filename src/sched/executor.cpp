@@ -44,13 +44,13 @@ OpKey key_for(NodeId self, const Op& op) {
 
 }  // namespace
 
-std::vector<Op> ordered_ops(const CommSchedule& schedule, std::int32_t step,
-                            NodeId self) {
-  std::vector<Op> ops = schedule.ops(step, self);
-  std::sort(ops.begin(), ops.end(), [&](const Op& x, const Op& y) {
+void ordered_ops(const CommSchedule& schedule, std::int32_t step, NodeId self,
+                 std::vector<Op>& out) {
+  const std::vector<Op>& ops = schedule.ops(step, self);
+  out.assign(ops.begin(), ops.end());
+  std::sort(out.begin(), out.end(), [&](const Op& x, const Op& y) {
     return key_for(self, x) < key_for(self, y);
   });
-  return ops;
 }
 
 void execute_schedule(machine::Node& node, const CommSchedule& schedule,
@@ -75,8 +75,9 @@ void execute_schedule(machine::Node& node, const CommSchedule& schedule,
     if (data != nullptr) data->in(peer, msg);
   };
 
+  std::vector<Op> ops;
   for (std::int32_t step = 0; step < schedule.num_steps(); ++step) {
-    const std::vector<Op> ops = ordered_ops(schedule, step, self);
+    ordered_ops(schedule, step, self, ops);
     const std::int32_t tag = options.tag_base + step;
     for (const Op& op : ops) {
       switch (op.kind) {

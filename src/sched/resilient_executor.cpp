@@ -97,7 +97,7 @@ class NodeSession {
     for (std::int32_t step = 0; step < schedule_.num_steps(); ++step) {
       begin_step(step);
       if (!ledger_.excommunicated) {
-        for (const Op& op : ordered_ops(schedule_, step, self_)) {
+        for (const Op& op : ops_) {
           switch (op.kind) {
             case Op::Kind::Send:
               send_edge(step, op.peer, op.send_bytes);
@@ -165,7 +165,8 @@ class NodeSession {
     copies_seen_.assign(un, 0);
     got_.assign(un, 0);
     sent_to_.assign(un, 0);
-    for (const Op& op : ordered_ops(schedule_, step, self_)) {
+    ordered_ops(schedule_, step, self_, ops_);
+    for (const Op& op : ops_) {
       if (op.kind == Op::Kind::Recv || op.kind == Op::Kind::Exchange) {
         expected_[static_cast<std::size_t>(op.peer)] = op.recv_bytes;
       }
@@ -360,7 +361,7 @@ class NodeSession {
         }
       }
     }
-    const std::vector<std::byte> all =
+    const std::span<const std::byte> all =
         ledger_.excommunicated ? node_.global_concat({})
                                : node_.global_concat(mask_);
     CM5_CHECK_MSG(all.size() % mask_bytes_ == 0,
@@ -405,6 +406,7 @@ class NodeSession {
   std::vector<RttEstimator> peer_rtt_;
   RttEstimator global_rtt_;               // fallback for unseen peers
   // Per-step protocol state (reset in begin_step).
+  std::vector<Op> ops_;                   // this step's ops, executor order
   std::vector<std::int64_t> expected_;    // recv bytes per src, -1 = none
   std::vector<std::int32_t> copies_seen_;
   std::vector<std::uint8_t> got_;

@@ -224,13 +224,13 @@ Message NodeHandle::post_swap(NodeId peer, std::int32_t tag,
   return std::move(me.inbox);
 }
 
-std::vector<std::byte> NodeHandle::global_op(
+std::span<const std::byte> NodeHandle::global_op(
     std::span<const std::byte> contribution, util::SimDuration duration) {
   Kernel& k = *kernel_;
   CM5_CHECK(duration >= 0);
   k.check_abort(id_);
   k.join_global_op(id_, contribution, duration, "global_op (control network)");
-  return std::move(k.nodes_[idx(id_)].gop_result);
+  return k.gop_.result;
 }
 
 bool NodeHandle::try_barrier(util::SimDuration timeout,
@@ -688,9 +688,9 @@ void Kernel::maybe_complete_global_op(util::SimTime now, NodeId completer) {
   const std::int32_t expected = topo_.num_nodes() - killed_count_;
   if (g.arrivals == 0 || g.arrivals < expected) return;
   const util::SimTime release = std::max(g.max_arrival, now) + g.duration;
-  std::vector<std::byte> result;
+  g.result.clear();
   for (auto& c : g.contributions) {
-    result.insert(result.end(), c.begin(), c.end());
+    g.result.insert(g.result.end(), c.begin(), c.end());
     c.clear();
   }
   g.arrivals = 0;
@@ -700,7 +700,6 @@ void Kernel::maybe_complete_global_op(util::SimTime now, NodeId completer) {
   for (NodeId n = 0; n < topo_.num_nodes(); ++n) {
     if (!g.waiting[idx(n)]) continue;
     g.waiting[idx(n)] = false;
-    nodes_[idx(n)].gop_result = result;
     wake_node(n, release);
   }
 }

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -6,7 +7,6 @@
 #include <string>
 #include <tuple>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -94,10 +94,13 @@ struct MsgCounts {
   std::int64_t bytes_posted = 0;
   std::int64_t bytes_started = 0;
   std::int64_t bytes_completed = 0;
+  bool drained() const noexcept {  // all started and completed, bytewise
+    return posted == completed && started == completed &&
+           bytes_posted == bytes_completed && bytes_started == bytes_completed;
+  }
 };
-// TraceValidator holds one MsgCounts per distinct message key, so it must
-// stay plain counters: an allocating member would cost every key.
-static_assert(std::is_trivially_destructible_v<MsgCounts>);
+// Flat-table entries: plain counters, copied on every doubling.
+static_assert(std::is_trivially_copyable_v<MsgCounts>);
 
 /// 64-bit mix (splitmix64 finalizer) for composing hash keys.
 std::size_t hash_mix(std::uint64_t x) noexcept {
@@ -152,8 +155,8 @@ class FlatMap {
     return used_[i] ? &slots_[i] : nullptr;
   }
 
-  /// The value for `key`, value-initialized on first use.
-  V& operator[](const K& key) {
+  /// The slot for `key`, its value value-initialized on first use.
+  Slot& slot(const K& key) {
     if (4 * (size_ + 1) > 3 * slots_.size()) grow();
     const std::size_t i = probe(key);
     if (!used_[i]) {
@@ -161,8 +164,10 @@ class FlatMap {
       slots_[i].first = key;
       ++size_;
     }
-    return slots_[i].second;
+    return slots_[i];
   }
+
+  V& operator[](const K& key) { return slot(key).second; }
 
   /// Removes a slot returned by find().
   void erase(Slot* slot) {
@@ -210,6 +215,34 @@ class FlatMap {
   std::vector<std::uint8_t> used_;
   std::size_t size_ = 0;
 };
+
+/// Whether `peer` takes the hot receiver from `hot` at an equal count:
+/// the reference walks peers upward and treats a negative `hot` as unset.
+bool wins_tie(net::NodeId peer, net::NodeId hot) {
+  if ((peer >= 0) != (hot >= 0)) return peer >= 0;
+  return peer >= 0 ? peer < hot : peer > hot;
+}
+
+/// Puts `links` in (src, dst) order by stable counting passes over the
+/// bytes of the sign-flipped key that not all links share, lowest first:
+/// under 256 nodes, one pass by dst, then one into per-src buckets.
+void order_links(std::vector<LinkTraffic>& links) {
+  const auto key = [](const LinkTraffic& l) {
+    return (std::uint64_t{static_cast<std::uint32_t>(l.src) ^ 0x80000000u}
+            << 32) | (static_cast<std::uint32_t>(l.dst) ^ 0x80000000u);
+  };
+  std::uint64_t varying = 0;  // key bits on which some links differ
+  for (const LinkTraffic& l : links) varying |= key(l) ^ key(links.front());
+  std::vector<LinkTraffic> out(links.size());
+  for (int shift = 0; shift < 64; shift += 8) {
+    if (((varying >> shift) & 0xff) == 0) continue;
+    std::array<std::size_t, 257> at{};
+    for (const LinkTraffic& l : links) ++at[((key(l) >> shift) & 0xff) + 1];
+    for (std::size_t i = 1; i < at.size(); ++i) at[i] += at[i - 1];
+    for (const LinkTraffic& l : links) out[at[(key(l) >> shift) & 0xff]++] = l;
+    links.swap(out);
+  }
+}
 
 /// Incremental union of half-open time intervals: the stored intervals
 /// are disjoint and non-touching, `total` is their summed length.
@@ -325,7 +358,10 @@ struct MetricsBuilder::Impl {
   /// memory, never correctness.
   std::vector<std::vector<util::SimTime>> port_open;
 
-  FlatMap<std::int32_t, StepMetrics, Int32Hash> steps;
+  /// Steps in tag order, as finalize hands them out. Each post updates
+  /// its step's hot receiver from its (tag, receiver) count: counts only
+  /// grow, so the running max and its tie-break stay exact.
+  std::vector<StepMetrics> steps;
   FlatMap<std::pair<std::int32_t, net::NodeId>, std::int32_t, Int32PairHash>
       step_receiver;
   FlatMap<std::pair<net::NodeId, net::NodeId>, LinkTraffic, Int32PairHash>
@@ -333,6 +369,15 @@ struct MetricsBuilder::Impl {
 
   std::vector<Receiver> receivers;
   std::int64_t next_seq = 0;
+
+  /// The step with `tag`; a new one is inserted in tag order if `add`.
+  StepMetrics* step(std::int32_t tag, bool add) {
+    auto it = std::partition_point(
+        steps.begin(), steps.end(),
+        [tag](const StepMetrics& step) { return step.tag < tag; });
+    if (it != steps.end() && it->tag == tag) return &*it;
+    return add ? &*steps.insert(it, StepMetrics{}) : nullptr;
+  }
 
   void attribute_gap(net::NodeId node, util::SimDuration gap) {
     if (gap <= 0 || !in_range(node, nprocs)) return;
@@ -410,7 +455,7 @@ struct MetricsBuilder::Impl {
           ++b.messages_out;
           b.bytes_out += e.bytes;
         }
-        StepMetrics& s = steps[e.tag];
+        StepMetrics& s = *step(e.tag, true);
         if (s.messages == 0) {
           s.tag = e.tag;
           s.first_post = e.time;
@@ -421,7 +466,13 @@ struct MetricsBuilder::Impl {
         }
         ++s.messages;
         s.bytes += e.bytes;
-        ++step_receiver[{e.tag, e.peer}];
+        const std::int32_t count = ++step_receiver[{e.tag, e.peer}];
+        if (count > s.max_receiver_messages ||
+            (count == s.max_receiver_messages &&
+             wins_tie(e.peer, s.hot_receiver))) {
+          s.max_receiver_messages = count;
+          s.hot_receiver = e.peer;
+        }
         if (in_range(e.peer, nprocs)) {
           receivers[static_cast<std::size_t>(e.peer)].posts.emplace(
               e.time, next_seq);
@@ -474,9 +525,8 @@ struct MetricsBuilder::Impl {
             }
           }
         }
-        if (const auto step = steps.find(e.tag)) {
-          step->second.last_complete =
-              std::max(step->second.last_complete, e.time);
+        if (StepMetrics* const s = step(e.tag, false)) {
+          s->last_complete = std::max(s->last_complete, e.time);
         }
         const bool dropped = next != nullptr && next->kind == Kind::FaultDrop &&
                              next->node == e.node && next->peer == e.peer &&
@@ -562,39 +612,10 @@ RunMetrics MetricsBuilder::finalize(const RunResult* result) {
         s.port_busy[static_cast<std::size_t>(b.node >= 0 ? b.node : 0)].total;
   }
 
-  // Step table with hot receivers: sort steps by tag, then merge the
-  // (tag, peer) counts into it in ascending key order so ties resolve to
-  // the lowest peer (matches the batch reference's ordered walk). Every
-  // (tag, peer) key was counted at a post that also opened its step.
-  m.steps.reserve(s.steps.size());
-  s.steps.for_each([&](const auto& slot) { m.steps.push_back(slot.second); });
-  std::sort(m.steps.begin(), m.steps.end(),
-            [](const StepMetrics& a, const StepMetrics& b) {
-              return a.tag < b.tag;
-            });
-  {
-    std::vector<std::pair<std::pair<std::int32_t, net::NodeId>, std::int32_t>>
-        receiver_counts;
-    receiver_counts.reserve(s.step_receiver.size());
-    s.step_receiver.for_each(
-        [&](const auto& slot) { receiver_counts.push_back(slot); });
-    std::sort(receiver_counts.begin(), receiver_counts.end());
-    auto step = m.steps.begin();
-    for (const auto& [key, count] : receiver_counts) {
-      while (step->tag < key.first) ++step;
-      if (count > step->max_receiver_messages ||
-          (count == step->max_receiver_messages && step->hot_receiver < 0)) {
-        step->max_receiver_messages = count;
-        step->hot_receiver = key.second;
-      }
-    }
-  }
+  m.steps = std::move(s.steps);
   m.links.reserve(s.links.size());
   s.links.for_each([&](const auto& slot) { m.links.push_back(slot.second); });
-  std::sort(m.links.begin(), m.links.end(),
-            [](const LinkTraffic& a, const LinkTraffic& b) {
-              return std::make_pair(a.src, a.dst) < std::make_pair(b.src, b.dst);
-            });
+  order_links(m.links);
 
   // Contention: drain posts no completion swept past, then resolve the
   // global pair. The batch sweep's hot_node is the receiver at which the
@@ -651,7 +672,12 @@ struct TraceValidator::Impl {
   std::vector<std::int64_t> posted_bytes_by_node;
   std::vector<std::int64_t> posted_msgs_by_node;
   std::vector<std::int64_t> global_ops_by_node;
-  std::unordered_map<MsgKey, MsgCounts, MsgKeyHash> messages;
+  /// Counts of the keys not drained: a key is erased when it drains, so
+  /// the table stays O(in flight), and its (count, bytes) totals move to
+  /// `drained`. Each check compares counts of one key, which draining
+  /// shifts alike, so checking the open part alone decides the same.
+  FlatMap<MsgKey, MsgCounts, MsgKeyHash> messages;
+  FlatMap<MsgKey, std::pair<std::int64_t, std::int64_t>, MsgKeyHash> drained;
   util::SimTime max_done = 0;
 
   static constexpr std::size_t kMaxReported = 50;
@@ -735,7 +761,8 @@ void TraceValidator::on_event(const TraceEvent& e) {
       break;
     }
     case Kind::TransferComplete: {
-      MsgCounts& c = s.messages[{e.node, e.peer, e.tag}];
+      auto& slot = s.messages.slot({e.node, e.peer, e.tag});
+      MsgCounts& c = slot.second;
       ++c.completed;
       c.bytes_completed += e.bytes;
       if (c.completed > c.started) {
@@ -743,6 +770,12 @@ void TraceValidator::on_event(const TraceEvent& e) {
                  std::to_string(e.peer) + " tag " + std::to_string(e.tag) +
                  ": more completions than starts at event " +
                  std::to_string(i));
+      }
+      if (c.drained()) {
+        auto& [count, bytes] = s.drained[slot.first];
+        count += c.completed;
+        bytes += c.bytes_completed;
+        s.messages.erase(&slot);
       }
       break;
     }
@@ -773,11 +806,18 @@ std::vector<std::string> TraceValidator::finalize(const RunResult* result) {
     }
   }
 
-  // Matching and conservation per message key. Text is built only for a
-  // key that fails; failures are reported in ascending key order.
+  // Matching and conservation per open message key. Text is built only
+  // for a key that fails, from its absolute counts (drained totals added
+  // back); failures are reported in ascending key order.
   std::vector<std::pair<MsgKey, std::string>> failed;
-  for (const auto& entry : s.messages) {
-    const MsgCounts& c = entry.second;
+  s.messages.for_each([&](const auto& entry) {
+    MsgCounts c = entry.second;
+    if (const auto d = s.drained.find(entry.first)) {
+      const auto [count, bytes] = d->second;
+      c = {c.posted + count, c.started + count, c.completed + count,
+           c.bytes_posted + bytes, c.bytes_started + bytes,
+           c.bytes_completed + bytes};
+    }
     const auto fail = [&](const std::string& what) {
       const auto& [src, dst, tag] = entry.first;
       failed.emplace_back(entry.first, "message " + std::to_string(src) +
@@ -789,7 +829,7 @@ std::vector<std::string> TraceValidator::finalize(const RunResult* result) {
       fail(": counts out of order (posted " + std::to_string(c.posted) +
            ", started " + std::to_string(c.started) + ", completed " +
            std::to_string(c.completed) + ")");
-      continue;
+      return;
     }
     if (c.bytes_completed > c.bytes_started ||
         c.bytes_started > c.bytes_posted) {
@@ -813,7 +853,7 @@ std::vector<std::string> TraceValidator::finalize(const RunResult* result) {
     } else if (c.completed < c.started && !s.any_fault) {
       fail(": transfer started but never completed");
     }
-  }
+  });
   std::stable_sort(
       failed.begin(), failed.end(),
       [](const auto& a, const auto& b) { return a.first < b.first; });

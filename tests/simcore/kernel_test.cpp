@@ -245,6 +245,43 @@ TEST(KernelTest, ConsecutiveGlobalOpsKeepOrder) {
   });
 }
 
+// global_op's result is a view into one buffer the kernel shares between
+// nodes. It must hold this node's result until this node's next global
+// op, even while faster nodes already entered that op; a view passed back
+// as the next contribution is copied before the buffer is rewritten.
+TEST(KernelTest, GlobalOpResultStaysValidUntilTheNodesNextGlobalOp) {
+  auto topo = make_topo(8);
+  Kernel kernel(topo);
+  const auto element = [](std::span<const std::byte> all, std::size_t i) {
+    constexpr std::size_t kWord = sizeof(std::int64_t);
+    return value_of(all.subspan(i * kWord, kWord));
+  };
+  kernel.run([&](NodeHandle& h) {
+    h.advance(from_us(10 * (h.id() + 1)));  // node 7 arrives last
+    const std::span<const std::byte> first =
+        h.global_op(bytes_of(h.id()), from_us(4));
+    h.advance(from_us(10 * (8 - h.id())));  // node 0 re-enters last
+    ASSERT_EQ(first.size(), 8 * sizeof(std::int64_t));
+    for (std::size_t i = 0; i < 8; ++i) {
+      EXPECT_EQ(element(first, i), static_cast<std::int64_t>(i));
+    }
+    const std::span<const std::byte> second =
+        h.global_op(bytes_of(100 + 2 * h.id()), from_us(4));
+    ASSERT_EQ(second.size(), 8 * sizeof(std::int64_t));
+    for (std::size_t i = 0; i < 8; ++i) {
+      EXPECT_EQ(element(second, i), 100 + 2 * static_cast<std::int64_t>(i));
+    }
+    // Each node hands back its own slot of the second result.
+    const std::span<const std::byte> third = h.global_op(
+        second.subspan(static_cast<std::size_t>(h.id()) * sizeof(std::int64_t),
+                       sizeof(std::int64_t)),
+        0);
+    for (std::size_t i = 0; i < 8; ++i) {
+      EXPECT_EQ(element(third, i), 100 + 2 * static_cast<std::int64_t>(i));
+    }
+  });
+}
+
 TEST(KernelTest, DeadlockIsDetectedAndReported) {
   auto topo = make_topo(2);
   Kernel kernel(topo);

@@ -268,6 +268,166 @@ TEST(StreamingAnalysis, MatchesBatchOnViolationsAcrossManyKeys) {
   EXPECT_EQ(violations.back().rfind("... and ", 0), 0u) << violations.back();
 }
 
+/// Appends one post, start and completion on (src, dst, tag).
+void transfer(std::vector<TraceEvent>& events, util::SimTime t,
+              net::NodeId src, net::NodeId dst, std::int64_t bytes,
+              std::int32_t tag) {
+  events.push_back(ev(Kind::SendPosted, t, src, dst, bytes, tag));
+  events.push_back(ev(Kind::TransferStart, t, src, dst, bytes, tag));
+  events.push_back(ev(Kind::TransferComplete, t + 1, src, dst, bytes, tag));
+}
+
+bool has_violation(const std::vector<std::string>& violations,
+                   const std::string& text) {
+  return std::any_of(violations.begin(), violations.end(),
+                     [&](const std::string& v) {
+                       return v.find(text) != std::string::npos;
+                     });
+}
+
+// Keys that drain, open again and then fail. The validator keeps only
+// open keys in its table, so the failure text must add back what each key
+// moved while drained and print the same absolute counts as the batch
+// reference.
+TEST(StreamingAnalysis, MatchesBatchOnKeysThatDrainReopenAndFail) {
+  std::vector<TraceEvent> events;
+  // 0 -> 1 tag 5 drains twice, then completes once without a start.
+  transfer(events, 0, 0, 1, 16, 5);
+  transfer(events, 10, 0, 1, 16, 5);
+  events.push_back(ev(Kind::TransferComplete, 20, 0, 1, 16, 5));
+  // 0 -> 2 tag 5 drains, then delivers fewer bytes than it posted.
+  transfer(events, 22, 0, 2, 32, 5);
+  events.push_back(ev(Kind::SendPosted, 30, 0, 2, 32, 5));
+  events.push_back(ev(Kind::TransferStart, 30, 0, 2, 32, 5));
+  events.push_back(ev(Kind::TransferComplete, 31, 0, 2, 24, 5));
+  for (net::NodeId n = 0; n < 3; ++n) {
+    events.push_back(ev(Kind::NodeDone, 40, n));
+  }
+  expect_streaming_matches_batch(events, 3);
+  const std::vector<std::string> violations = validate_trace(events, 3);
+  EXPECT_TRUE(has_violation(violations,
+                            "message 0->1 tag 5: counts out of order (posted "
+                            "2, started 2, completed 3)"));
+  EXPECT_TRUE(has_violation(violations,
+                            "message 0->2 tag 5: bytes sent (64) != bytes "
+                            "received (56) in a fault-free run"));
+
+  // Under a fault the byte check is conservation: a start that carries
+  // more than its post, after the key drained once.
+  std::vector<TraceEvent> faulty;
+  transfer(faulty, 0, 1, 0, 8, 3);
+  faulty.push_back(ev(Kind::SendPosted, 10, 1, 0, 8, 3));
+  faulty.push_back(ev(Kind::TransferStart, 10, 1, 0, 12, 3));
+  faulty.push_back(ev(Kind::FaultDelay, 10, 1, 0, 12, 3));
+  faulty.push_back(ev(Kind::TransferComplete, 11, 1, 0, 12, 3));
+  faulty.push_back(ev(Kind::NodeDone, 20, 0));
+  faulty.push_back(ev(Kind::NodeDone, 20, 1));
+  expect_streaming_matches_batch(faulty, 2);
+  EXPECT_TRUE(has_violation(validate_trace(faulty, 2),
+                            "message 1->0 tag 3: byte counts not conserved "
+                            "(posted 16 B, started 20 B, completed 20 B)"));
+}
+
+// A faulty trace that resends a dropped message on the same (src, dst,
+// tag), as the resilient executor does: the key drains with the dropped
+// copy (post, start, completion voided by a FaultDrop) and opens again
+// for the retry, while the receiver's timed-out wait ends in between.
+TEST(StreamingAnalysis, MatchesBatchOnRetryOfDroppedMessageOnSameKey) {
+  std::vector<TraceEvent> events{
+      ev(Kind::RecvPosted, 0, 1, 0, 0, 9),
+      ev(Kind::SendPosted, 5, 0, 1, 40, 9),
+      ev(Kind::TransferStart, 5, 0, 1, 40, 9),
+      ev(Kind::TransferComplete, 45, 0, 1, 40, 9),
+      ev(Kind::FaultDrop, 45, 0, 1, 40, 9),
+      ev(Kind::RecvPosted, 50, 0, 1, 0, 10),
+      ev(Kind::WaitTimeout, 60, 1, 0, 0, 9),
+      ev(Kind::WaitTimeout, 70, 0, 1, 0, 10),
+      ev(Kind::Compute, 90, 0, -1, 20),
+      ev(Kind::RecvPosted, 90, 1, 0, 0, 9),
+      ev(Kind::SendPosted, 95, 0, 1, 40, 9),
+      ev(Kind::TransferStart, 95, 0, 1, 40, 9),
+      ev(Kind::TransferComplete, 135, 0, 1, 40, 9),
+      ev(Kind::SendPosted, 135, 1, 0, 2, 10),
+      ev(Kind::TransferStart, 140, 1, 0, 2, 10),
+      ev(Kind::TransferComplete, 141, 1, 0, 2, 10),
+      ev(Kind::NodeDone, 150, 0),
+      ev(Kind::NodeDone, 150, 1),
+  };
+  expect_streaming_matches_batch(events, 2);
+  EXPECT_TRUE(validate_trace(events, 2).empty());
+  const RunMetrics m = analyze(events, 2);
+  EXPECT_EQ(m.transfers_dropped, 1);
+  ASSERT_EQ(m.links.size(), 2u);
+  EXPECT_EQ(m.links[0].messages, 1);  // 0 -> 1: only the retry arrived
+}
+
+// Hot receivers are tracked as posts arrive. In step 7 receiver 3 reaches
+// the step's max before receiver 1 ties it; the lower peer still wins. In
+// step 8 the lower peer leads and a higher one only ties; in step 9 a
+// higher peer overtakes.
+TEST(StreamingAnalysis, MatchesBatchWhenAHigherReceiverReachesTheMaxFirst) {
+  std::vector<TraceEvent> events;
+  const auto post = [&](util::SimTime t, net::NodeId src, net::NodeId dst,
+                        std::int32_t tag) {
+    events.push_back(ev(Kind::SendPosted, t, src, dst, 8, tag));
+  };
+  post(0, 0, 3, 7);
+  post(1, 2, 3, 7);
+  post(2, 0, 1, 7);
+  post(3, 2, 1, 7);
+  post(4, 0, 2, 8);
+  post(5, 3, 2, 8);
+  post(6, 0, 3, 8);
+  post(7, 1, 3, 8);
+  post(8, 1, 0, 9);
+  post(9, 2, 3, 9);
+  post(10, 1, 3, 9);
+  for (net::NodeId n = 0; n < 4; ++n) {
+    events.push_back(ev(Kind::NodeDone, 20, n));
+  }
+  expect_streaming_matches_batch(events, 4);
+  const RunMetrics m = analyze(events, 4);
+  ASSERT_EQ(m.steps.size(), 3u);
+  EXPECT_EQ(m.steps[0].hot_receiver, 1);
+  EXPECT_EQ(m.steps[0].max_receiver_messages, 2);
+  EXPECT_EQ(m.steps[1].hot_receiver, 2);
+  EXPECT_EQ(m.steps[2].hot_receiver, 3);
+}
+
+// Links delivered in descending (src, dst) order over 300 nodes, so both
+// the src and the dst of the link key span more than one byte, plus two
+// endpoints out of range (one negative): the link table must come out in
+// the batch reference's ascending (src, dst) order.
+TEST(StreamingAnalysis, MatchesBatchOnLinksCompletingInDescendingOrder) {
+  const std::int32_t nprocs = 300;
+  std::vector<std::pair<net::NodeId, net::NodeId>> pairs;
+  for (net::NodeId src = 0; src < nprocs; src += 7) {
+    for (std::int32_t k = 0; k < 4; ++k) {
+      const net::NodeId dst = (src * 13 + k * 37 + 1) % nprocs;
+      if (dst != src) pairs.emplace_back(src, dst);
+    }
+  }
+  pairs.emplace_back(nprocs + 5, 2);
+  pairs.emplace_back(4, -1);
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  std::vector<TraceEvent> events;
+  util::SimTime t = 0;
+  for (auto it = pairs.rbegin(); it != pairs.rend(); ++it) {
+    transfer(events, t, it->first, it->second, 64, 1);
+    t += 2;
+  }
+  for (net::NodeId n = 0; n < nprocs; ++n) {
+    events.push_back(ev(Kind::NodeDone, t, n));
+  }
+  expect_streaming_matches_batch(events, nprocs);
+  const RunMetrics m = analyze(events, nprocs);
+  ASSERT_EQ(m.links.size(), pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_EQ(std::make_pair(m.links[i].src, m.links[i].dst), pairs[i]);
+  }
+}
+
 TEST(StreamingAnalysis, MatchesBatchOnRealRun) {
   const std::int32_t nprocs = 16;
   TraceRecorder recorder;

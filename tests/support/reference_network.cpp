@@ -45,9 +45,9 @@ void ReferencedNetwork::set_link_capacity_scale(util::SimTime t,
 }
 
 std::vector<net::FlowId> ReferencedNetwork::advance_to(util::SimTime t) {
-  std::vector<net::FlowId> done = net_.advance_to(t);
+  const std::span<const net::FlowId> done = net_.advance_to(t);
   for (const net::FlowId id : done) routes_.erase(id);
-  return done;
+  return {done.begin(), done.end()};
 }
 
 std::string ReferencedNetwork::mismatch() {
